@@ -2,8 +2,8 @@
 
 A *shared object* is one that several in-flight queries (or the scheduler
 and a query) observe concurrently in virtual time: the buffer pool, the
-simulated disk, the virtual clock, a trace bus, the catalog, and the
-scheduler's task table.  Each entry names
+simulated disk, the virtual clock, a trace bus, the catalog, the
+prepared-plan cache, and the scheduler's task table.  Each entry names
 
 * the owning class — the only code allowed to store to the object's
   registered attributes (everyone else must go through the owner's
@@ -54,8 +54,8 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         cls="repro.sim.clock.VirtualClock",
         aliases=frozenset({"clock", "_clock"}),
         attrs=frozenset({
-            "now", "gate", "cost_charged", "_tickers", "_firing",
-            "_load", "_factors", "_next_event",
+            "now", "gate", "cost_charged", "_timers", "_ticker_seq",
+            "_firing", "_load", "_factors", "_next_event",
         }),
         description="the virtual clock every query charges time against",
     ),
@@ -87,6 +87,12 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         aliases=frozenset({"catalog", "_catalog"}),
         attrs=frozenset({"_tables"}),
         description="the table catalog (DDL mutates it mid-workload)",
+    ),
+    SharedObject(
+        cls="repro.planner.cache.PlanCache",
+        aliases=frozenset({"plan_cache", "_plan_cache"}),
+        attrs=frozenset({"_entries"}),
+        description="the prepared-plan cache every submission goes through",
     ),
     SharedObject(
         cls="repro.sched.scheduler.CooperativeScheduler",

@@ -29,6 +29,7 @@ from repro.core.indicator import ProgressIndicator
 from repro.estimators.history import HistoryStore
 from repro.executor.base import ExecContext
 from repro.executor.runtime import QueryResult, run_query
+from repro.planner.cache import PlanCache
 from repro.planner.optimizer import Optimizer, PlannedQuery
 from repro.sim.clock import VirtualClock
 from repro.sim.load import LoadProfile
@@ -79,6 +80,8 @@ class Database:
         #: database replays identically.  Survives :meth:`restart` (a
         #: buffer-pool cold start does not erase what the DBA learned).
         self.history_store = HistoryStore()
+        #: Prepared plans by (SQL text, config); see repro.planner.cache.
+        self.plan_cache = PlanCache()
 
     # ------------------------------------------------------------------
     # schema & data
@@ -196,10 +199,21 @@ class Database:
     # queries
 
     def prepare(self, sql: str) -> PlannedQuery:
-        """Parse, bind and optimize one SELECT statement."""
-        statement = parse_select(sql)
-        bound = Binder(self.catalog).bind(statement)
-        return Optimizer(self.config).plan(bound)
+        """Parse, bind and optimize one SELECT statement.
+
+        Plans are cached per ``(sql, self.config)`` and re-used while the
+        catalog facts they were planned from hold (see
+        :mod:`repro.planner.cache`); a returned plan may be shared with
+        other executions of the same text, so treat it as read-only.
+        """
+        config = self.config
+        planned = self.plan_cache.get(sql, config, self.catalog)
+        if planned is None:
+            statement = parse_select(sql)
+            bound = Binder(self.catalog).bind(statement)
+            planned = Optimizer(config).plan(bound)
+            self.plan_cache.put(sql, config, planned)
+        return planned
 
     def verify(self, sql: str) -> "list[Violation]":
         """Statically verify a statement's plan/segment invariants.

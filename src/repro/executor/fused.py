@@ -1501,9 +1501,16 @@ class _Compiler:
 
 
 class FusedQuery:
-    """A compiled fused program for one plan, plus its cleanup state."""
+    """A compiled fused program for one plan, plus its cleanup state.
 
-    def __init__(self, root: PhysicalNode, ctx: ExecContext):
+    Code generation runs per execution: it binds this execution's clock,
+    tracker, segments, sort states and temps into the program's globals.
+    The generated source text encodes every compile-time specialization,
+    so the code object from builtin ``compile()`` is shared through
+    ``code_cache``, keyed by source (the plan's ``PlannedQuery.code_cache``).
+    """
+
+    def __init__(self, root: PhysicalNode, ctx: ExecContext, code_cache: dict):
         compiler = _Compiler(ctx, ctx.config.progress.batch_rows)
         source = compiler.compile(root)
         #: Generated source, kept for debugging / inspection.
@@ -1512,7 +1519,10 @@ class FusedQuery:
         self._sorts = compiler.sorts
         self._temps = compiler.temps
         env = compiler.env
-        code = compile(source, "<fused-plan>", "exec")
+        code = code_cache.get(source)
+        if code is None:
+            code = compile(source, "<fused-plan>", "exec")
+            code_cache[source] = code
         exec(code, env)  # noqa: S102 - engine-generated source, no user input
         self._gen = env["_fused_run"]()
 

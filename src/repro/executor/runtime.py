@@ -131,7 +131,7 @@ def execute(planned: PlannedQuery, ctx: ExecContext) -> Iterator[tuple]:
     if use_fused:
         from repro.executor.fused import FusedQuery
 
-        fq = FusedQuery(planned.root, ctx)
+        fq = FusedQuery(planned.root, ctx, planned.code_cache)
         try:
             if ctx.trace is None:
                 yield from fq.run()

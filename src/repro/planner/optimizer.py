@@ -63,6 +63,9 @@ class PlannedQuery:
     #: Uncorrelated IN-subqueries: (expression, inner plan) pairs the
     #: driver pre-executes before the outer plan runs (hashed InitPlans).
     subplans: list = field(default_factory=list)
+    #: The fused engine's compiled code objects for this plan, keyed by
+    #: generated source (see repro.executor.fused.FusedQuery).
+    code_cache: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def output_names(self) -> list[str]:
