@@ -14,7 +14,7 @@ The subsystem explains every estimate the progress indicator emits:
 * A CLI — ``python -m repro.obs {trace,audit,metrics}``.
 
 Tracing is **opt-in**: pass a ``TraceBus`` to
-``Database.execute_with_progress(trace=...)``, set
+``Session.submit(trace=...)``, set
 ``ProgressConfig.trace_enabled``, or export ``REPRO_TRACE``.  Disabled
 (the default), every instrumented call site costs one ``is not None``
 test — ``benchmarks/bench_overhead.py`` keeps that claim measured.

@@ -14,10 +14,8 @@ Entry points:
   fair-share policies.
 * ``python -m repro.sched.demo`` — a runnable smoke demo.
 
-The thread-based :class:`repro.core.concurrent.ConcurrentWorkload`
-predates this package and remains for the clock-gate experiments; new
-code should use the scheduler (or the :class:`repro.api.Session` facade
-on top of it).
+Applications reach it through :class:`repro.api.Session` or
+:class:`repro.service.QueryService`, which wrap it.
 """
 
 from repro.sched.policy import (

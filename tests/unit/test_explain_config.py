@@ -9,7 +9,6 @@ from repro.config import (
     SystemConfig,
 )
 from repro.core.segments import build_segments
-from repro.estimators import estimator_for_refine_mode
 from repro.planner.explain import explain
 from repro.workloads import queries, tpcr
 
@@ -90,19 +89,10 @@ class TestConfig:
         assert cost.random_page_read > cost.seq_page_read
         assert cost.cpu_tuple < cost.seq_page_read
 
-    def test_refine_mode_validated(self):
-        config = SystemConfig().with_progress(refine_mode="bogus")
+    def test_estimator_validated(self):
+        config = SystemConfig().with_progress(estimator="bogus")
         db = tpcr.build_database(scale=0.001, subset_rows=20, config=config)
+        session = db.connect()
         with pytest.raises(ValueError):
-            db.execute_with_progress("select * from customer")
-
-
-class TestEstimatorConfig:
-    def test_refine_mode_maps_to_estimators(self):
-        assert estimator_for_refine_mode("paper") == "paper"
-        assert estimator_for_refine_mode("optimizer") == "tgn"
-        assert estimator_for_refine_mode("extrapolate") == "dne"
-
-    def test_estimator_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
-            estimator_for_refine_mode("nope")
+            session.submit("select * from customer")
+        assert session.service.inflight == 0
