@@ -53,7 +53,7 @@ SHARED_STATE_REGISTRY: tuple[SharedObject, ...] = (
         cls="repro.sim.clock.VirtualClock",
         aliases=frozenset({"clock", "_clock"}),
         attrs=frozenset({
-            "now", "cost_charged", "_timers", "_ticker_seq",
+            "_now", "cost_charged", "_timers", "_ticker_seq",
             "_firing", "_load", "_factors", "_next_event",
         }),
         description="the virtual clock every query charges time against",

@@ -10,9 +10,10 @@ with ``--write-baseline`` it also rewrites
 ``benchmarks/results/perf_baseline.json`` and ``benchmarks/PERF_SHEET.md``.
 
 ``perfcheck`` is the CI gate: it re-times the suite (or a ``--cases``
-smoke subset), compares fresh speedups against the committed baseline
-within ``--tolerance``, checks the absolute floors, and exits non-zero
-on any violation.
+smoke subset), compares fresh speedups and the Q1–Q5 monitored/plain
+ratios (full registry only) against the committed baseline within
+``--tolerance``, checks the absolute floors, and exits non-zero on any
+violation.
 """
 
 from __future__ import annotations
@@ -105,6 +106,8 @@ def main(argv=None) -> int:
         scale=args.scale,
         runs=args.runs,
         progress=lambda msg: print(msg, file=sys.stderr),
+        # A --cases smoke subset skips the Q1-Q5 monitor ratios.
+        monitor_queries=() if args.cases else perf.MONITOR_QUERIES,
     )
     print(perf.render_suite(suite))
 

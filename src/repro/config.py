@@ -5,7 +5,9 @@ optimizer behaviour, executor resource limits, and the simulated cost model.
 It plays the role of ``postgresql.conf`` for this engine: experiments build
 one config object and thread it through :class:`repro.database.Database`.
 
-All costs are expressed in simulated seconds.  The defaults are calibrated
+All costs are expressed in simulated seconds; the engine converts them
+once, when it reads a config, into the integer clock ticks of
+:mod:`repro.sim.units`.  The defaults are calibrated
 so that the scaled TPC-R workload of the paper's Section 5 produces queries
 running for hundreds of simulated seconds, matching the time axes of the
 paper's figures.
@@ -121,10 +123,11 @@ class ProgressConfig:
     #: batch-at-a-time engine: each query plan is compiled into tight
     #: per-pipeline loops that move :class:`repro.executor.batch.Batch`
     #: objects to the driver) or "row" (the reference volcano engine,
-    #: one tuple per generator hop).  Both engines charge the identical
-    #: sequence of virtual-clock costs and tracker updates, so results,
-    #: ProgressLog and U totals are bit-identical; "batch" only changes
-    #: real (wall-clock) time.  Paths that must observe individual
+    #: one tuple per generator hop).  Costs and tracker bytes are exact
+    #: integers, so the batch engine's per-page and per-event commits
+    #: leave the clock and tracker exactly where the row engine's per-row
+    #: updates do: results, ProgressLog and U totals are bit-identical;
+    #: "batch" only changes real (wall-clock) time.  Paths that must observe individual
     #: operator pulses (the analysis cross-check probe, EXPLAIN ANALYZE
     #: row counting) always use the row engine regardless of this knob.
     engine: str = "batch"

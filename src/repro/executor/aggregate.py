@@ -60,7 +60,7 @@ class HashAggregateOp(Operator):
     def rows(self) -> Iterator[tuple]:
         node = self.node
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         segment = getattr(node, "pi_agg_segment", None)
         groups_ref = getattr(node, "pi_groups_input_ref", None)
@@ -163,7 +163,7 @@ class FilterOp(Operator):
 
     def rows(self) -> Iterator[tuple]:
         ctx = self.ctx
-        per_row = len(self._predicates) * ctx.config.cost.cpu_operator
+        per_row = len(self._predicates) * ctx.ticks.cpu_operator
         predicates = self._predicates
         for row in self._child.rows():
             if row is PULSE:

@@ -25,6 +25,7 @@ from repro.planner.physical import (
     SortNode,
 )
 from repro.sim.clock import VirtualClock
+from repro.sim.units import cost_ticks
 from repro.storage.buffer import BufferPool
 from repro.storage.disk import SimulatedDisk
 
@@ -101,6 +102,8 @@ class ExecContext:
         self.disk = disk
         self.buffer_pool = buffer_pool
         self.config = config
+        #: The cost model in integer clock ticks (repro.sim.units).
+        self.ticks = cost_ticks(config.cost)
         #: None disables all progress accounting (the unmonitored fast path).
         self.tracker = tracker
         #: Optional repro.obs.TraceBus; None is the zero-cost disabled path.

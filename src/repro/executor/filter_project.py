@@ -29,17 +29,17 @@ class ProjectOp(Operator):
         self._string_slots = [
             i for i, e in enumerate(node.exprs) if isinstance(e.type, StringType)
         ]
-        self._fixed_width = float(TUPLE_HEADER_BYTES) + sum(
+        self._fixed_width = TUPLE_HEADER_BYTES + sum(
             e.type.width(None)
             for e in node.exprs
             if not isinstance(e.type, StringType)
         )
 
-    def _width(self, row: tuple) -> float:
+    def _width(self, row: tuple) -> int:
         w = self._fixed_width
         for i in self._string_slots:
             v = row[i]
-            w += 1.0 if v is None else 1.0 + len(v)
+            w += 1 if v is None else 1 + len(v)
         return w
 
     def rows(self) -> Iterator[tuple]:
@@ -53,9 +53,7 @@ class ProjectOp(Operator):
         computed = sum(
             1 for e in self.node.exprs if not isinstance(e, ColumnExpr)
         )
-        per_row = (
-            ctx.config.cost.cpu_tuple + computed * ctx.config.cost.cpu_operator
-        )
+        per_row = ctx.ticks.cpu_tuple + computed * ctx.ticks.cpu_operator
         fns = self._fns
         for row in self._child.rows():
             if row is PULSE:
@@ -80,7 +78,7 @@ class DistinctOp(Operator):
 
     def rows(self) -> Iterator[tuple]:
         ctx = self.ctx
-        per_row = ctx.config.cost.cpu_hash
+        per_row = ctx.ticks.cpu_hash
         seen: set = set()
         for row in self._child.rows():
             if row is PULSE:

@@ -14,20 +14,31 @@ Bit-identity contract
 ---------------------
 The fused program must be observationally identical to the volcano
 engine — same result rows in the same order, the same ProgressLog, the
-same final clock and tracker state.  Because the virtual clock fires
-ticker callbacks (progress reports, speed samples) *inside*
-``clock.advance``, identity requires preserving the exact ordered
-sequence of charges and the tracker state visible at each one.  The
-compiler therefore follows three rules:
+same clock and tracker state at every clock event and at the end.
+Costs, clock instants and tracker bytes are exact integers
+(:mod:`repro.sim.units`), so the contract does not need the row engine's
+charge order, only its sums at the points where anyone can look:
 
-* every per-row ``clock.advance`` and tracker update is emitted at the
-  same point in the row stream as the volcano operator performs it —
-  never merged, split, or reordered (float addition is not associative);
-* every storage call (buffer-pool page get/pin/unpin, disk read, temp
-  write) keeps its exact order, because fault injection draws one RNG
-  value per charged I/O;
+* the generator keeps the clock's CPU budget (ticks left before the next
+  clock event, ``VirtualClock.budget``) in the local ``_left``; a charge
+  site costs one local decrement and compare, and the charge that uses
+  the budget up commits everything, which fires the event, at exactly
+  the row where the row engine's ``advance`` would;
+* pending tracker counts live in locals too: a sequential scan's input
+  rows and byte shares follow from the loop index and are worked out
+  only when committed; other input and output widths accumulate; a join
+  output's width is summed from its inputs' widths (nested-loop outer
+  and inner rows, hash-join probe rows), each computed once per input
+  row;
+* ``_wb()`` writes back (tracker counts first, then the pending ticks as
+  one ``clock.advance``) before every yield, every storage call that can
+  charge, every tracker or helper call and every event, and the budget
+  is reloaded (``_RELOAD``) after each of them;
+* every storage call keeps its exact order, because fault injection
+  draws one RNG value per charged I/O;
 * only *silent* computation (predicate evaluation, tuple construction,
-  width arithmetic) is restructured into straight-line code.
+  width arithmetic, SQL function calls) is restructured into
+  straight-line code.
 
 ``PULSE`` placement is likewise preserved: the generated code yields
 :data:`~repro.executor.base.PULSE` at exactly the volcano engine's
@@ -44,6 +55,7 @@ row source and fuses everything above it.
 from __future__ import annotations
 
 import heapq
+import re
 from typing import Callable, Iterator, List, Optional
 
 from repro.errors import ExecutionError
@@ -58,6 +70,7 @@ from repro.expr.bound import (
     ArithmeticExpr,
     ColumnExpr,
     ComparisonExpr,
+    FunctionExpr,
     LiteralExpr,
     LogicalExpr,
     NegativeExpr,
@@ -79,6 +92,7 @@ from repro.planner.physical import (
     SortNode,
 )
 from repro.sim.load import CPU, IO
+from repro.sim.units import share_prefix
 from repro.storage.heap import HeapFile
 from repro.storage.schema import TUPLE_HEADER_BYTES, Column, Schema
 from repro.storage.types import StringType
@@ -91,6 +105,65 @@ _CMP_SRC = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
 _ARITH_SRC = {"+": "+", "-": "-", "*": "*", "/": "/"}
 #: Literal types whose ``repr`` round-trips exactly in generated source.
 _SAFE_LITERALS = (int, float, str, bool, type(None))
+
+
+#: Reloads the generated program's CPU budget from the clock.
+_RELOAD = "_left = _lb = _budget()"
+
+#: A placeholder emitted by ``_Compiler._tok``.
+_TOKEN = re.compile("\x01[0-9]+\x01")
+
+
+def _committer(report: Callable) -> Callable:
+    """``report(*counts)``, returning 0 so generated code can reset its
+    pending sums in the same statement."""
+
+    def commit(*args) -> int:
+        report(*args)
+        return 0
+
+    return commit
+
+
+def _scan_committer(input_rows: Callable) -> Callable:
+    """Report rows ``[done, k)`` of a scanned page with their byte shares;
+    returns ``k``, the new count of reported rows."""
+
+    def commit(seg: int, idx: int, page, done: int, k: int) -> int:
+        n = len(page.rows)
+        total = page.bytes_used
+        input_rows(
+            seg, idx, k - done, share_prefix(total, n, k) - share_prefix(total, n, done)
+        )
+        return k
+
+    return commit
+
+
+def _starter(tracker) -> Callable:
+    """Start a segment unless it has started; returns True (the emission
+    site's "checked" flag)."""
+
+    def start(seg) -> bool:
+        if not seg.started:
+            tracker._start(seg)
+        return True
+
+    return start
+
+
+def _reads(source: str, name: str) -> int:
+    """Occurrences of identifier ``name`` in generated ``source``."""
+    count = 0
+    at = source.find(name)
+    while at >= 0:
+        end = at + len(name)
+        if not (source[at - 1].isalnum() or source[at - 1] == "_") and not (
+            source[end].isalnum() or source[end] == "_"
+        ):
+            count += 1
+        at = source.find(name, end)
+    return count
 
 
 def _nonnull_literal(expr) -> bool:
@@ -143,8 +216,8 @@ class _FusedSort:
         n = len(buffer)
         if n <= 1:
             return
-        comparisons = n * max(1.0, (n).bit_length() - 1)
-        cost = self.ctx.config.cost.cpu_compare
+        comparisons = n * max(1, n.bit_length() - 1)
+        cost = self.ctx.ticks.cpu_compare
         remaining = comparisons
         while remaining > 0:
             step = min(remaining, _CPU_CHUNK)
@@ -182,10 +255,10 @@ class _FusedSort:
             )
             nbytes = sum(run.total_bytes for run in group)
             npages = sum(run.handle.num_pages for run in group)
-            cost = ctx.config.cost
-            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
+            cost = ctx.ticks
+            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), IO)
             if ctx.tracker is not None and segment is not None:
-                ctx.tracker.extra_pass(segment, 2.0 * nbytes)
+                ctx.tracker.extra_pass(segment, 2 * nbytes)
             schema = group[0].schema
             merged = HeapFile(
                 f"sortrun_{id(self)}_m{len(self.runs)}",
@@ -204,18 +277,24 @@ class _FusedSort:
             self.runs = self.runs[fanout:] + [merged]
             yield PULSE
 
-    def read_run(self, run: HeapFile) -> Iterator[tuple]:
+    def read_run(
+        self, run: HeapFile, writeback: Callable, reload: Callable
+    ) -> Iterator[tuple]:
+        """Stream one spilled run; each page read is a write-back point
+        of the generated program (``writeback`` before, ``reload`` after)."""
         ctx = self.ctx
         tracker = ctx.tracker
         ref = self.merge_ref
-        cost = ctx.config.cost
+        cpu_tuple = ctx.ticks.cpu_tuple
         for page_no in range(run.handle.num_pages):
+            writeback()
             page = ctx.disk.read_page(run.handle, page_no, sequential=True)
             n = len(page.rows)
             if n:
-                ctx.clock.advance(n * cost.cpu_tuple, CPU)
+                ctx.clock.advance(n * cpu_tuple, CPU)
             if tracker is not None and ref is not None:
                 tracker.input_rows(ref[0], ref[1], n, page.bytes_used)
+            reload()
             yield from page.rows
 
     def drop(self) -> None:
@@ -249,7 +328,7 @@ class _Compiler:
 
     def __init__(self, ctx: ExecContext, batch_rows: int):
         self.ctx = ctx
-        self.cost = ctx.config.cost
+        self.cost = ctx.ticks
         self.tracker = ctx.tracker
         self.batch_rows = max(1, batch_rows)
         self.env: dict = {
@@ -272,15 +351,30 @@ class _Compiler:
         self.temps: List[HeapFile] = []
         self._n = 0
         self._seg_names: dict[int, str] = {}
-        self._seg_list_names: dict[int, tuple[str, str]] = {}
-        self._adv_name: Optional[str] = None
-        self._clk_name: Optional[str] = None
-        self._cch_name: Optional[str] = None
-        self._slow_name: Optional[str] = None
-        self._tracker_name: Optional[str] = None
-        self._start_name: Optional[str] = None
         self._segfin_name: Optional[str] = None
-        self._trin_name: Optional[str] = None
+        #: Pending tracker state kept in generator locals, committed by
+        #: ``_wb``: scan rows derived from the row index
+        #: ``(seg, idx, i, done, page)``, per-row input sums
+        #: ``(seg, idx, rows, nbytes)`` and output sums
+        #: ``(seg, rows, nbytes)``.
+        self._scan_pending: List[tuple] = []
+        self._input_pending: dict[tuple[int, int], tuple[str, str]] = {}
+        self._output_pending: dict[int, tuple[str, str]] = {}
+        #: Width provenance of rows built from other rows' slots: row var
+        #: -> per slot ``(base var, base slot)`` (None: computed value).
+        self._prov: dict[str, List[Optional[tuple[str, int]]]] = {}
+        #: Base rows whose full width can be had once per base row:
+        #: base var -> (fixed width, var slots, request() -> width expr).
+        self._bases: dict[str, tuple[int, List[int], Callable[[], str]]] = {}
+        #: Whether the program needs the budget reload as a function
+        #: (``_rl``, handed to spilled-run readers).
+        self._reload_fn = False
+        #: Source tokens resolved when the program is assembled.
+        self._toks: dict[str, str] = {}
+        #: Joined-row variables (with their assignment line) whose
+        #: assignment is dropped when nothing else reads them (their
+        #: consumers read the inputs' slots).
+        self._elide: List[tuple[str, str]] = []
 
     # ------------------------------------------------------------------
     # emission helpers
@@ -305,50 +399,6 @@ class _Compiler:
 
     # cached hot bindings ------------------------------------------------
 
-    def _adv(self) -> str:
-        if self._adv_name is None:
-            self._adv_name = self.local(self.ctx.clock.advance, "adv")
-        return self._adv_name
-
-    def _clk(self) -> str:
-        if self._clk_name is None:
-            self._clk_name = self.local(self.ctx.clock, "clk")
-        return self._clk_name
-
-    def _cch(self) -> str:
-        """The clock's ``cost_charged`` dict (mutated in place, never rebound)."""
-        if self._cch_name is None:
-            self._cch_name = self.local(self.ctx.clock.cost_charged, "cch")
-        return self._cch_name
-
-    def _slow(self) -> str:
-        if self._slow_name is None:
-            self._slow_name = self.local(self.ctx.clock._advance_slow, "slow")
-        return self._slow_name
-
-    def _tr(self) -> str:
-        if self._tracker_name is None:
-            self._tracker_name = self.local(self.tracker, "tr")
-        return self._tracker_name
-
-    def _tr_start(self) -> str:
-        if self._start_name is None:
-            self._start_name = self.local(self.tracker._start, "trst")
-        return self._start_name
-
-    def _tr_segfin(self) -> str:
-        if self._segfin_name is None:
-            self._segfin_name = self.local(
-                self.tracker.segment_finished, "segfin"
-            )
-        return self._segfin_name
-
-    def _tr_input(self) -> str:
-        """The bound ``input_rows`` method, for cold per-page call sites."""
-        if self._trin_name is None:
-            self._trin_name = self.local(self.tracker.input_rows, "trin")
-        return self._trin_name
-
     def _seg(self, seg_id: int) -> str:
         name = self._seg_names.get(seg_id)
         if name is None:
@@ -357,128 +407,162 @@ class _Compiler:
             )
         return name
 
-    def _seg_lists(self, seg_id: int) -> tuple[str, str]:
-        """Hoisted ``input_rows`` / ``input_bytes`` lists of one segment.
+    # clock charges and write-back ---------------------------------------
+    #
+    # The generated generator keeps the clock's CPU budget in the local
+    # ``_left`` (ticks left before the next clock event, from
+    # ``VirtualClock.budget``); ``_lb`` is its value at the last
+    # write-back, so ``_lb - _left`` ticks are charged but not committed.
+    # ``_wb()`` commits pending tracker sums, then the pending charge (one
+    # ``clock.advance``); ``_RELOAD`` reloads the budget.  Ticks are
+    # integers, so committing a run of charges at once leaves the clock
+    # exactly where charging them one by one does.
 
-        The lists are mutated in place and never rebound, so per-row code
-        can index hoisted locals instead of re-reading two attributes.
-        """
-        names = self._seg_list_names.get(seg_id)
-        if names is None:
-            seg = self._seg(seg_id)
-            ir = self.fresh(f"seg{seg_id}ir")
-            ib = self.fresh(f"seg{seg_id}ib")
-            self.pre.append(f"{ir} = {seg}.input_rows")
-            self.pre.append(f"{ib} = {seg}.input_bytes")
-            names = self._seg_list_names[seg_id] = (ir, ib)
-        return names
-
-    # inlined clock charge (must mirror VirtualClock.advance exactly) ----
-
-    def _emit_advance(self, cost, res: str, maybe_zero: bool = True) -> None:
-        """Inline ``clock.advance(cost, res)``'s fast path.
-
-        ``cost`` is either a float (compile-time constant) or a source
-        expression.  The emitted sequence is ``VirtualClock.advance``
-        minus the function call: same ``cost_charged`` update, same
-        fast-path float arithmetic, and the bound ``_advance_slow`` for
-        the event-crossing path (which fires tickers exactly as the real
-        method does).  ``advance(0)`` is a no-op, so zero constants emit
-        nothing and runtime expressions guard with ``if cost:`` unless
-        the caller proves them nonzero.
-        """
-        if isinstance(cost, (int, float)):
+    def _charge(self, cost) -> None:
+        """A CPU charge: count the budget down; the charge that uses it
+        up commits everything, which fires the event, and reloads."""
+        if isinstance(cost, int):
             if cost == 0:
                 return
             if cost < 0:
-                # Invalid config: keep the real method's ValueError.
-                self.line(f"{self._adv()}({_lit(cost)}, {res})")
+                # Invalid config: keep the clock's ValueError.
+                self._call(f"_adv({cost}, _CPU)")
                 return
-            c = _lit(cost)
-            guard = False
-        elif cost.isidentifier():
-            c = cost
-            guard = maybe_zero
-        else:
-            c = self.fresh("c")
-            self.line(f"{c} = {cost}")
-            guard = maybe_zero
-        clk = self._clk()
-        cch = self._cch()
-        slow = self._slow()
-        rloc = "_rcpu" if res == "_CPU" else "_rio"
+        self.line(f"if (_left := _left - {cost}) <= 0: _wb(); {_RELOAD}")
 
-        def emit_body() -> None:
-            self.line(f"{cch}[{rloc}] += {c}")
-            self.line(f"_end = {clk}.now + {c} * {clk}._factors[{rloc}]")
-            with self.block(f"if _end < {clk}._next_event:"):
-                self.line(f"{clk}.now = _end")
-            with self.block("else:"):
-                self.line(f"{slow}({c}, {rloc})")
+    def _call(self, text: str, reload: bool = True) -> None:
+        """A call that may touch the clock or tracker: write back before
+        it and reload the budget after it."""
+        self.line(f"_wb(); {text}; {_RELOAD}" if reload else f"_wb(); {text}")
 
-        if guard:
-            with self.block(f"if {c}:"):
-                emit_body()
-        else:
-            emit_body()
+    def _io(self, cost) -> None:
+        """An I/O charge: rare, so it commits through ``clock.advance``."""
+        if cost != 0:
+            self._call(f"_adv({cost}, _IO)")
 
-    # tracker arithmetic, inlined (must mirror WorkTracker exactly) ------
+    def _tracker_call(self, text: str) -> None:
+        """A tracker counter call (never moves the clock)."""
+        self._call(text, reload=False)
 
-    def _emit_input_rows(
-        self, seg_id: int, idx: int, rows_expr: str, bytes_name: str
-    ) -> None:
-        """Inline ``tracker.input_rows(seg_id, idx, rows, bytes)``.
+    def _emit_start(self, seg_id: int) -> None:
+        """Start segment ``seg_id`` here if nothing started it yet.
 
-        ``bytes_name`` must be a variable name or literal (it is evaluated
-        three times).  The float additions run in the method's exact
-        order: input_bytes, done_bytes, total_done_bytes.
+        Checked once per emission site through a local flag; the start
+        stamps ``clock.now``, so it writes back first (``_cstart`` starts
+        the segment unless something already did).
         """
-        seg = self._seg(seg_id)
-        ir, ib = self._seg_lists(seg_id)
-        with self.block(f"if not {seg}.started:"):
-            self.line(f"{self._tr_start()}({seg})")
-        self.line(f"{ir}[{idx}] += {rows_expr}")
-        self.line(f"{ib}[{idx}] += {bytes_name}")
-        self.line(f"{seg}.done_bytes += {bytes_name}")
-        self.line(f"{self._tr()}.total_done_bytes += {bytes_name}")
+        flag = self.fresh("st")
+        self.pre.append(f"{flag} = False")
+        self.line(f"if not {flag}: _wb(); {flag} = _cstart({self._seg(seg_id)})")
 
-    def _emit_output_rows(self, seg_id: int, bytes_name: str) -> None:
-        """Inline ``tracker.output_rows(seg_id, 1, bytes)``."""
-        seg = self._seg(seg_id)
-        with self.block(f"if not {seg}.started:"):
-            self.line(f"{self._tr_start()}({seg})")
-        self.line(f"{seg}.output_rows += 1")
-        self.line(f"{seg}.output_bytes += {bytes_name}")
-        if seg_id != self.tracker.final_segment:
-            self.line(f"{seg}.done_bytes += {bytes_name}")
-            self.line(f"{self._tr()}.total_done_bytes += {bytes_name}")
+    def _emit_pending_row(self, seg_id: int, pending: dict, key, width: str):
+        """Count one row of ``width`` bytes into the pending sums ``key``."""
+        self._emit_start(seg_id)
+        names = pending.get(key)
+        if names is None:
+            names = pending[key] = (self.fresh("pr"), self.fresh("pb"))
+        self.line(f"{names[0]} += 1")
+        self.line(f"{names[1]} += {width}")
+
+    def _emit_input_row(self, seg_id: int, idx: int, width: str) -> None:
+        """One row read by a segment input (``tracker.input_rows(.., 1, w)``)."""
+        self._emit_pending_row(seg_id, self._input_pending, (seg_id, idx), width)
+
+    def _emit_output_row(self, seg_id: int, width: str) -> None:
+        """One row produced at a segment's output."""
+        self._emit_pending_row(seg_id, self._output_pending, seg_id, width)
+
+    def _emit_segfin(self, seg_id: int) -> None:
+        if self._segfin_name is None:
+            self._segfin_name = self.local(self.tracker.segment_finished, "segfin")
+        self._call(f"{self._segfin_name}({seg_id})")
+
+    def _writeback_source(self) -> List[str]:
+        """The ``_wb`` closure and the initial budget load (generated last,
+        once every pending-state local is known)."""
+        pending = []
+        inits = []
+        commits = []
+        for seg, idx, i, done, pg in self._scan_pending:
+            pending += [i, done]
+            inits += [f"{i} = -1", f"{done} = 0"]
+            commits.append(
+                f"if {i} >= {done}: {done} = _cscan({seg}, {idx}, {pg}, {done}, {i} + 1)"
+            )
+        for (seg, idx), (rows, nbytes) in self._input_pending.items():
+            pending += [rows, nbytes]
+            inits.append(f"{rows} = {nbytes} = 0")
+            commits.append(
+                f"if {rows}: {rows} = {nbytes} = _cin({seg}, {idx}, {rows}, {nbytes})"
+            )
+        for seg, (rows, nbytes) in self._output_pending.items():
+            pending += [rows, nbytes]
+            inits.append(f"{rows} = {nbytes} = 0")
+            commits.append(
+                f"if {rows}: {rows} = {nbytes} = _cout({seg}, {rows}, {nbytes})"
+            )
+        clock = self.ctx.clock
+        self.env["_g_adv"] = clock.advance
+        self.env["_g_budget"] = clock.budget
+        lines = ["_adv = _g_adv", "_budget = _g_budget"]
+        if self.tracker is not None:
+            tracker = self.tracker
+            self.env["_g_trin"] = tracker.input_rows
+            self.env["_g_cin"] = _committer(tracker.input_rows)
+            self.env["_g_cout"] = _committer(tracker.output_rows)
+            self.env["_g_cscan"] = _scan_committer(tracker.input_rows)
+            self.env["_g_cstart"] = _starter(tracker)
+            lines += ["_trin = _g_trin", "_cin = _g_cin", "_cout = _g_cout",
+                      "_cscan = _g_cscan", "_cstart = _g_cstart"]
+        lines += inits
+        lines += [
+            "_left = _lb = 0",
+            "def _wb():",
+            "    nonlocal " + ", ".join(["_left", "_lb"] + pending),
+        ]
+        lines += ["    " + c for c in commits]
+        lines += [
+            "    if _left != _lb:",
+            "        _adv(_lb - _left, _CPU)",
+            "        _lb = _left",
+        ]
+        if self._reload_fn:
+            lines += [
+                "def _rl():",
+                "    nonlocal _left, _lb",
+                "    " + _RELOAD,
+            ]
+        lines.append(_RELOAD)
+        return lines
 
     # batch / pulse plumbing ---------------------------------------------
+
+    def _emit_yield(self, item: str) -> None:
+        """Yield ``item`` to the driver: write back before, reload after."""
+        self._call(f"yield {item}")
+
+    def _emit_flush(self) -> None:
+        self._emit_yield("_B(out)")
+        self.line("out = []; out_append = out.append; nout = 0")
 
     def _emit_pulse(self) -> None:
         """Yield PULSE, flushing any pending output batch first."""
         with self.block("if nout:"):
-            self.line("yield _B(out)")
-            self.line("out = []")
-            self.line("out_append = out.append")
-            self.line("nout = 0")
-        self.line("yield PULSE")
+            self._emit_flush()
+        self._emit_yield("PULSE")
 
     def _driver(self, rowvar: str) -> None:
         self.line(f"out_append({rowvar})")
         self.line("nout += 1")
         with self.block(f"if nout >= {self.batch_rows}:"):
-            self.line("yield _B(out)")
-            self.line("out = []")
-            self.line("out_append = out.append")
-            self.line("nout = 0")
+            self._emit_flush()
 
     # width arithmetic ----------------------------------------------------
 
     @staticmethod
-    def _width_parts(types) -> tuple[float, List[int]]:
+    def _width_parts(types) -> tuple[int, List[int]]:
         """Split a row shape into (fixed width, variable string slots)."""
-        fixed = float(TUPLE_HEADER_BYTES)
+        fixed = TUPLE_HEADER_BYTES
         var_slots: List[int] = []
         for i, t in enumerate(types):
             if isinstance(t, StringType):
@@ -487,17 +571,64 @@ class _Compiler:
                 fixed += t.width(None)
         return fixed, var_slots
 
-    def _emit_width(self, rowvar: str, fixed: float, var_slots: List[int]) -> str:
-        """Emit the exact row-width computation; return its value's name."""
+    def _emit_width(self, rowvar: str, fixed: int, var_slots: List[int]) -> str:
+        """Emit the exact row-width computation; return its value's name.
+
+        A row built from join inputs' slots adds, for each input whose
+        every string slot it carries, that input's width computed once
+        per input row (``_bases``); only the other string slots are
+        measured here.
+        """
         if not var_slots:
             return _lit(fixed)
+        prov = self._prov.get(rowvar)
+        slots: List[tuple[str, int]] = [(rowvar, i) for i in var_slots]
+        if prov is not None:
+            slots = [prov[i] or (rowvar, i) for i in var_slots]
+        const = fixed
+        terms = []
+        for base, (bfixed, bvars, request) in self._bases.items():
+            used = sorted(s for b, s in slots if b == base)
+            if used and used == bvars:
+                terms.append(request())
+                const -= bfixed
+                slots = [(b, s) for b, s in slots if b != base]
         w = self.fresh("w")
-        self.line(f"{w} = {_lit(fixed)}")
-        for i in var_slots:
+        self.line(f"{w} = " + " + ".join([_lit(const)] + terms))
+        for base, i in slots:
             v = self.fresh("v")
-            self.line(f"{v} = {rowvar}[{i}]")
-            self.line(f"{w} += 1.0 if {v} is None else 1.0 + len({v})")
+            self.line(f"{v} = {base}[{i}]")
+            self.line(f"{w} += 1 if {v} is None else 1 + len({v})")
         return w
+
+    def _width_base(self, rowvar: str, columns) -> None:
+        """Offer ``rowvar``'s width to ``_emit_width``, computed here (once
+        per ``rowvar`` row) only if some consumer asks for it."""
+        fixed, var_slots = self._width_parts([c.type for c in columns])
+        if not var_slots:
+            return
+        w = self.fresh("rw")
+        hole = self._tok("")
+        self.line(hole)
+
+        def request() -> str:
+            if not self._toks[hole]:
+                terms = " + ".join(
+                    f"(1 if {rowvar}[{i}] is None else 1 + len({rowvar}[{i}]))"
+                    for i in var_slots
+                )
+                self._toks[hole] = f"{w} = {fixed} + {terms}"
+            return w
+
+        self._bases[rowvar] = (fixed, var_slots, request)
+
+    def _tok(self, default: str) -> str:
+        """A placeholder in the source, resolved (default ``default``) when
+        the program is assembled; lets a consumer compiled later change
+        code emitted earlier."""
+        tok = f"\x01{len(self._toks)}\x01"
+        self._toks[tok] = default
+        return tok
 
     # expression helpers --------------------------------------------------
 
@@ -507,16 +638,17 @@ class _Compiler:
             return f"{rowvar}[{slots[0]}]"
         return _tuple_display([f"{rowvar}[{s}]" for s in slots])
 
-    def _combine_expr(self, left_cols, right_cols, out_cols, lvar, rvar) -> str:
+    def _combine_slots(self, left_cols, right_cols, out_cols, lvar, rvar):
+        """Per output column, the ``(row var, slot)`` it is taken from."""
         left_slots = layout_of(left_cols)
         right_slots = layout_of(right_cols)
-        parts = []
-        for col in out_cols:
-            if col.coordinate in left_slots:
-                parts.append(f"{lvar}[{left_slots[col.coordinate]}]")
-            else:
-                parts.append(f"{rvar}[{right_slots[col.coordinate]}]")
-        return _tuple_display(parts)
+        return [
+            (lvar, left_slots[col.coordinate])
+            if col.coordinate in left_slots
+            else (rvar, right_slots[col.coordinate])
+            for col in out_cols
+        ]
+
 
     # fused expression source ---------------------------------------------
     #
@@ -569,6 +701,22 @@ class _Compiler:
                 return f"(-{inner})"
             t = self.fresh("t")
             return f"(None if ({t} := {inner}) is None else -{t})"
+        if isinstance(expr, FunctionExpr) and expr.func.raw is not None:
+            # The raw callable with the NULL propagation of its wrapper
+            # inlined: any NULL argument yields NULL.
+            args = [self._value_src(a, slot, layout) for a in expr.args]
+            if any(a is None for a in args):
+                return None
+            checks = []
+            for i, a in enumerate(expr.args):
+                if not _nonnull_literal(a):
+                    t = self.fresh("t")
+                    checks.append(f"({t} := {args[i]}) is None")
+                    args[i] = t
+            call = f"{self.local(expr.func.raw, 'fn')}({', '.join(args)})"
+            if not checks:
+                return call
+            return f"(None if {' or '.join(checks)} else {call})"
         return None
 
     def _pred_src(self, expr, slot: Callable[[int], str], layout) -> Optional[str]:
@@ -662,17 +810,23 @@ class _Compiler:
 
     def compile(self, root: PhysicalNode) -> str:
         self._node(root, self._driver)
+        self.line("_wb()")
         lines = ["def _fused_run():"]
         lines.append("    out = []")
         lines.append("    out_append = out.append")
         lines.append("    nout = 0")
-        lines.append("    _rcpu = _CPU")
-        lines.append("    _rio = _IO")
         lines.extend("    " + p for p in self.pre)
+        lines.extend("    " + p for p in self._writeback_source())
         lines.extend(self.body)
         lines.append("    if out:")
         lines.append("        yield _B(out)")
-        return "\n".join(lines) + "\n"
+        source = "\n".join(lines) + "\n"
+        if self._toks:
+            source = _TOKEN.sub(lambda m: self._toks[m.group(0)], source)
+        for var, assignment in self._elide:
+            if _reads(source, var) == 1:  # only its own assignment
+                source = source.replace(assignment + "\n", "", 1)
+        return source
 
     # ------------------------------------------------------------------
     # dispatch
@@ -729,29 +883,38 @@ class _Compiler:
         n = self.fresh("n")
         r = self.fresh("r")
         with self.block(f"for {pno} in range({handle.num_pages}):"):
-            self.line(f"{pg} = {get}({h}, {pno}, sequential=True)")
+            self._call(f"{pg} = {get}({h}, {pno}, sequential=True)")
             self.line(f"{rows} = {pg}.rows")
             self.line(f"{n} = len({rows})")
             with self.block(f"if not {n}:"):
                 self.line("continue")
+            loop = f"for {r} in {rows}:"
+            if monitored and per_tuple:
+                # The row's input share is not counted per row: rows
+                # [done, i] of this page are pending and ``_wb`` reports
+                # them from the loop index.
+                seg, idx = ref
+                i = self.fresh("i")
+                done = self.fresh("sc")
+                self._scan_pending.append((seg, idx, i, done, pg))
+                self.line(f"{i} = -1")
+                self.line(f"{done} = 0")
+                loop = f"for {i}, {r} in enumerate({rows}):"
             self.line(f"{pin}({h}, {pno})")
             with self.block("try:"):
-                if cpu_per_row:
-                    self._emit_advance(
-                        f"{_lit(cpu_per_row)} * {n}", "_CPU", maybe_zero=False
-                    )
-                if monitored and per_tuple:
-                    prb = self.fresh("prb")
-                    self.line(f"{prb} = {pg}.bytes_used / {n}")
-                if monitored and not per_tuple:
+                self._charge(
+                    f"{cpu_per_row} * {n}" if cpu_per_row else 0
+                )
+                if monitored:
                     seg, idx = ref
-                    self.line(
-                        f"{self._tr_input()}({seg}, {idx}, {n}, {pg}.bytes_used)"
-                    )
-                with self.block(f"for {r} in {rows}:"):
-                    if monitored and per_tuple:
-                        seg, idx = ref
-                        self._emit_input_rows(seg, idx, "1", prb)
+                    segv = self._seg(seg)
+                    if per_tuple:
+                        self.line(f"if not {segv}.started: _wb(); _cstart({segv})")
+                    else:
+                        self._tracker_call(
+                            f"_trin({seg}, {idx}, {n}, {pg}.bytes_used)"
+                        )
+                with self.block(loop):
                     self._emit_predicates(node.filters, layout, r)
                     if slots is None:
                         consume(r)
@@ -778,8 +941,8 @@ class _Compiler:
         slots = _projector(node)
         per_row_cpu = cost.cpu_tuple + len(node.filters) * cost.cpu_operator
 
-        self._emit_advance(index.height * cost.random_page_read, "_IO")
-        self._emit_advance(index.height * cost.cpu_index_level, "_CPU")
+        self._io(index.height * cost.random_page_read)
+        self._charge(index.height * cost.cpu_index_level)
 
         search = self.local(
             index.search_range(
@@ -802,21 +965,20 @@ class _Compiler:
         self.line(f"{seen} = 0")
         with self.block(f"for {k}, {rid} in {search}:"):
             with self.block(f"if {seen} % {index.fanout} == 0:"):
-                self._emit_advance(cost.seq_page_read, "_IO")
+                self._io(cost.seq_page_read)
                 with self.block(f"if {seen}:"):
                     self._emit_pulse()
             self.line(f"{seen} += 1")
             self.line(f"{pno}, {slot} = {rid}")
-            self.line(f"{pg} = {get}({hh}, {pno}, sequential=False)")
+            self._call(f"{pg} = {get}({hh}, {pno}, sequential=False)")
             self.line(f"{pin}({hh}, {pno})")
             with self.block("try:"):
                 self.line(f"{r} = {pg}.rows[{slot}]")
-                self._emit_advance(per_row_cpu, "_CPU")
+                self._charge(per_row_cpu)
                 if monitored:
-                    seg, idx = ref
                     b = self.fresh("b")
                     self.line(f"{b} = {rw}({r})")
-                    self._emit_input_rows(seg, idx, "1", b)
+                    self._emit_input_row(ref[0], ref[1], b)
                 self._emit_predicates(node.filters, layout, r)
                 if slots is None:
                     consume(r)
@@ -832,14 +994,20 @@ class _Compiler:
     def _merge_join(self, node: MergeJoinNode, consume) -> None:
         # Not fused: the volcano operator runs as a row source and
         # everything above it is fused.  Its children are volcano
-        # operators too (built by MergeJoinOp itself).
+        # operators too (built by MergeJoinOp itself).  It charges the
+        # clock and tracker itself, so every pull is a write-back point.
         from repro.executor.merge_join import MergeJoinOp
 
         op = MergeJoinOp(node, self.ctx)
         self.ops.append(op)
         opv = self.local(op, "mj")
+        src = self.fresh("src")
         it = self.fresh("it")
-        with self.block(f"for {it} in {opv}.rows():"):
+        self.line(f"{src} = {opv}.rows()")
+        with self.block("while True:"):
+            self._call(f"{it} = next({src}, None)")
+            with self.block(f"if {it} is None:"):
+                self.line("break")
             with self.block(f"if {it} is PULSE:"):
                 self._emit_pulse()
                 self.line("continue")
@@ -855,16 +1023,7 @@ class _Compiler:
         layout = {c.coordinate: i for i, c in enumerate(node.child.columns)}
         computed = sum(1 for e in node.exprs if not isinstance(e, ColumnExpr))
         per_row = cost.cpu_tuple + computed * cost.cpu_operator
-        # ProjectOp folds its fixed width as header + sum(...) — mirror that
-        # exact float-addition order, not row_width_fn's incremental one.
-        var_slots = [
-            i for i, e in enumerate(node.exprs) if isinstance(e.type, StringType)
-        ]
-        fixed = float(TUPLE_HEADER_BYTES) + sum(
-            e.type.width(None)
-            for e in node.exprs
-            if not isinstance(e.type, StringType)
-        )
+        fixed, var_slots = self._width_parts([e.type for e in node.exprs])
 
         # Expressions fuse into one output tuple display — column
         # references and simple computations become inline source, the
@@ -880,7 +1039,16 @@ class _Compiler:
         closures: dict[int, str] = {}
 
         def part_src(i, e, rowvar: str) -> str:
-            src = self._value_src(e, lambda s: f"{rowvar}[{s}]", layout)
+            # Slots of a join output read straight from the join's inputs,
+            # so the joined tuple itself may go unbuilt (``_elide``).
+            prov = self._prov.get(rowvar)
+
+            def slot(s: int) -> str:
+                if prov is not None and prov[s] is not None:
+                    return f"{prov[s][0]}[{prov[s][1]}]"
+                return f"{rowvar}[{s}]"
+
+            src = self._value_src(e, slot, layout)
             if src is not None:
                 return src
             name = closures.get(i)
@@ -889,7 +1057,7 @@ class _Compiler:
             return f"{name}({rowvar})"
 
         def stage(rowvar: str) -> None:
-            self._emit_advance(per_row, "_CPU")
+            self._charge(per_row)
             if identity:
                 o = rowvar
             else:
@@ -898,9 +1066,17 @@ class _Compiler:
                 ]
                 o = self.fresh("o")
                 self.line(f"{o} = " + _tuple_display(parts))
+                src = self._prov.get(rowvar)
+                self._prov[o] = [
+                    (src[s] if src else (rowvar, s))
+                    if isinstance(e, ColumnExpr)
+                    and (s := layout.get(e.coordinate)) is not None
+                    else None
+                    for e in node.exprs
+                ]
             if monitored:
                 w = self._emit_width(o, fixed, var_slots)
-                self._emit_output_rows(segment, w)
+                self._emit_output_row(segment, w)
             consume(o)
 
         self._node(node.child, stage)
@@ -910,7 +1086,7 @@ class _Compiler:
         per_row = len(node.predicates) * self.cost.cpu_operator
 
         def stage(rowvar: str) -> None:
-            self._emit_advance(per_row, "_CPU")
+            self._charge(per_row)
             self._emit_predicates(node.predicates, layout, rowvar)
             consume(rowvar)
 
@@ -924,7 +1100,7 @@ class _Compiler:
         self.line(f"{add} = {seen}.add")
 
         def stage(rowvar: str) -> None:
-            self._emit_advance(per_row, "_CPU")
+            self._charge(per_row)
             with self.block(f"if {rowvar} in {seen}:"):
                 self.line("continue")
             self.line(f"{add}({rowvar})")
@@ -996,10 +1172,9 @@ class _Compiler:
         with self.block(f"if {bkt} is None:"):
             self.line("continue")
         if per_match:
-            self._emit_advance(
-                f"{_lit(per_match)} * len({bkt})", "_CPU", maybe_zero=False
-            )
-        combine = self._combine_expr(
+            self._charge(f"{per_match} * len({bkt})")
+        self._width_base(rowvar, node.probe.columns)
+        slots = self._combine_slots(
             node.build.columns, node.probe.columns, node.columns, br, rowvar
         )
         with self.block(f"for {br} in {bkt}:"):
@@ -1011,7 +1186,11 @@ class _Compiler:
                     split=(br, rowvar, len(node.build.columns)),
                 )
             o = self.fresh("o")
-            self.line(f"{o} = {combine}")
+            self.line(
+                f"{o} = " + _tuple_display([f"{v}[{i}]" for v, i in slots])
+            )
+            self._elide.append((o, self.body[-1]))
+            self._prov[o] = slots
             consume(o)
 
     def _hash_join_memory(self, node: HashJoinNode, consume) -> None:
@@ -1019,6 +1198,7 @@ class _Compiler:
         build_segment = getattr(node, "pi_build_segment", None)
         hash_ref = getattr(node, "pi_hash_input_ref", None)
         mon_build = self.tracker is not None and build_segment is not None
+        mon_hash = self.tracker is not None and hash_ref is not None
         fixed, var_slots = self._width_parts(
             [c.type for c in node.build.columns]
         )
@@ -1028,20 +1208,19 @@ class _Compiler:
         tbytes = self.fresh("tbytes")
         self.line(f"{table} = {{}}")
         self.line(f"{tget} = {table}.get")
-        self.line(f"{trows} = 0")
-        self.line(f"{tbytes} = 0.0")
+        if mon_hash:
+            self.line(f"{trows} = 0")
+            self.line(f"{tbytes} = 0")
 
         def build_sink(rowvar: str) -> None:
-            self._emit_advance(cost.cpu_hash, "_CPU")
-            w = self._emit_width(rowvar, fixed, var_slots)
-            if not var_slots:
-                wv = self.fresh("w")
-                self.line(f"{wv} = {w}")
-                w = wv
-            self.line(f"{trows} += 1")
-            self.line(f"{tbytes} += {w}")
+            self._charge(cost.cpu_hash)
+            if mon_build or mon_hash:
+                w = self._emit_width(rowvar, fixed, var_slots)
+            if mon_hash:
+                self.line(f"{trows} += 1")
+                self.line(f"{tbytes} += {w}")
             if mon_build:
-                self._emit_output_rows(build_segment, w)
+                self._emit_output_row(build_segment, w)
             self._build_row_update(
                 rowvar,
                 self._key_expr(node.build.columns, node.build_keys, rowvar),
@@ -1051,16 +1230,15 @@ class _Compiler:
 
         self._node(node.build, build_sink)
         if mon_build:
-            self.line(f"{self._tr_segfin()}({build_segment})")
-        if self.tracker is not None and hash_ref is not None:
+            self._emit_segfin(build_segment)
+        if mon_hash:
             # The probe segment "handles" the hash table once as it starts.
-            self.line(
-                f"{self._tr_input()}"
-                f"({hash_ref[0]}, {hash_ref[1]}, {trows}, {tbytes})"
+            self._tracker_call(
+                f"_trin({hash_ref[0]}, {hash_ref[1]}, {trows}, {tbytes})"
             )
 
         def probe_stage(rowvar: str) -> None:
-            self._emit_advance(cost.cpu_hash, "_CPU")
+            self._charge(cost.cpu_hash)
             self._probe_row(node, rowvar, tget, consume)
 
         self._node(node.probe, probe_stage)
@@ -1079,31 +1257,36 @@ class _Compiler:
             fixed, var_slots = self._width_parts([c.type for c in columns])
             cols = self.local(columns, "cols")
             parts = self.fresh("parts")
-            apps = self.fresh("apps")
             self.line(f"{parts} = {mk}({ctxv}, {temps}, {cols}, {nb}, {name!r})")
-            self.line(f"{apps} = [p.append for p in {parts}]")
 
             def sink(rowvar: str) -> None:
-                self._emit_advance(cost.cpu_hash, "_CPU")
+                self._charge(cost.cpu_hash)
                 k = self.fresh("k")
                 self.line(
                     f"{k} = " + self._key_expr(columns, keys, rowvar)
                 )
-                b = self.fresh("b")
+                pf = self.fresh("pf")
                 self.line(
-                    f"{b} = {sh}({k}) % {nb} if {k} is not None else 0"
+                    f"{pf} = {parts}[{sh}({k}) % {nb} if {k} is not None else 0]"
                 )
-                self.line(f"{apps}[{b}]({rowvar})")
+                w = self._emit_width(rowvar, fixed, var_slots)
+                # Only an append that fills the open page writes (and
+                # charges I/O): that one is a write-back point.
+                with self.block(f"if {w} > {pf}.room:"):
+                    self._call(f"{pf}.append({rowvar}, {w})")
+                with self.block("else:"):
+                    self.line(f"{pf}.append({rowvar}, {w})")
                 if monitored:
-                    w = self._emit_width(rowvar, fixed, var_slots)
-                    self._emit_output_rows(segment, w)
+                    self._emit_output_row(segment, w)
 
             self._node(child, sink)
             p = self.fresh("p")
+            self.line("_wb()")
             with self.block(f"for {p} in {parts}:"):
                 self.line(f"{p}.flush()")
+            self.line(_RELOAD)
             if monitored:
-                self.line(f"{self._tr_segfin()}({segment})")
+                self._emit_segfin(segment)
             return parts
 
         build_parts = partition(
@@ -1135,19 +1318,12 @@ class _Compiler:
             r = self.fresh("r")
             self.line(f"{h} = {handle_expr}")
             with self.block(f"for {pno} in range({h}.num_pages):"):
-                self.line(f"{pg} = {dread}({h}, {pno}, sequential=True)")
+                self._call(f"{pg} = {dread}({h}, {pno}, sequential=True)")
                 self.line(f"{n} = len({pg}.rows)")
-                if cost.cpu_tuple:
-                    with self.block(f"if {n}:"):
-                        self._emit_advance(
-                            f"{_lit(cost.cpu_tuple)} * {n}",
-                            "_CPU",
-                            maybe_zero=False,
-                        )
+                self._charge(f"{cost.cpu_tuple} * {n}" if cost.cpu_tuple else 0)
                 if self.tracker is not None and ref is not None:
-                    self.line(
-                        f"{self._tr_input()}"
-                        f"({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
+                    self._tracker_call(
+                        f"_trin({ref[0]}, {ref[1]}, {n}, {pg}.bytes_used)"
                     )
                 with self.block(f"for {r} in {pg}.rows:"):
                     per_row(r)
@@ -1161,7 +1337,7 @@ class _Compiler:
             self.line(f"{tget} = {table}.get")
 
             def build_row(rowvar: str) -> None:
-                self._emit_advance(cost.cpu_hash, "_CPU")
+                self._charge(cost.cpu_hash)
                 self._build_row_update(
                     rowvar,
                     self._key_expr(node.build.columns, node.build_keys, rowvar),
@@ -1172,7 +1348,7 @@ class _Compiler:
             read_partition(f"{build_parts}[{b}].handle", pa_ref, build_row)
 
             def probe_row(rowvar: str) -> None:
-                self._emit_advance(cost.cpu_hash, "_CPU")
+                self._charge(cost.cpu_hash)
                 self._probe_row(node, rowvar, tget, consume)
 
             read_partition(f"{probe_parts}[{b}].handle", pb_ref, probe_row)
@@ -1196,49 +1372,59 @@ class _Compiler:
         inner = self.fresh("inner")
         iapp = self.fresh("iapp")
         ibytes = self.fresh("ibytes")
+        ir = self.fresh("ir")
+        # Inner row widths, kept beside the rows only if a consumer
+        # measures output rows (see _emit_width).
+        iws = self.fresh("iws")
+        iw = self.fresh("iw")
+        keep_w = self._tok("")
+        inner_loop = self._tok(f"{ir} in {inner}")
         self.line(f"{inner} = []")
         self.line(f"{iapp} = {inner}.append")
-        self.line(f"{ibytes} = 0.0")
+        self.line(f"{ibytes} = 0")
 
         def inner_sink(rowvar: str) -> None:
-            self._emit_advance(cost.cpu_tuple, "_CPU")
+            self._charge(cost.cpu_tuple)
             w = self._emit_width(rowvar, fixed, var_slots)
             self.line(f"{ibytes} += {w}")
-            self.line(f"{iapp}({rowvar})")
+            self.line(f"{iapp}(({rowvar}{keep_w}))")
+            if var_slots:
+
+                def request() -> str:
+                    self._toks[keep_w] = f", {w}"
+                    self._toks[inner_loop] = f"{ir}, {iw} in {inner}"
+                    return iw
+
+                self._bases[ir] = (fixed, var_slots, request)
 
         self._node(node.inner, inner_sink)
         if self.tracker is not None and inner_ref is not None:
-            self.line(
-                f"{self._tr_input()}({inner_ref[0]}, {inner_ref[1]}, "
-                f"len({inner}), {ibytes})"
+            self._tracker_call(
+                f"_trin({inner_ref[0]}, {inner_ref[1]}, len({inner}), {ibytes})"
             )
 
         poc = self.fresh("poc")
         rio = self.fresh("rio")
         first = self.fresh("first")
         self.line(
-            f"{poc} = len({inner}) * {_lit(cost.cpu_operator)}"
+            f"{poc} = len({inner}) * {cost.cpu_operator}"
             f" * {max(1, len(node.predicates))}"
         )
-        self.line(f"{rio} = 0.0")
-        with self.block(f"if {ibytes} > {_lit(ctx.work_mem_bytes)}:"):
+        self.line(f"{rio} = 0")
+        with self.block(f"if {ibytes} > {ctx.work_mem_bytes}:"):
             self.line(
-                f"{rio} = ({ibytes} / {ctx.config.page_size})"
-                f" * {_lit(cost.seq_page_read)}"
+                f"{rio} = {ibytes} * {cost.seq_page_read}"
+                f" // {ctx.config.page_size}"
             )
         self.line(f"{first} = True")
 
-        ir = self.fresh("ir")
-        combine = self._combine_expr(
-            node.outer.columns, node.inner.columns, node.columns, "OUTER", ir
-        )
-
         def outer_stage(rowvar: str) -> None:
-            self._emit_advance(poc, "_CPU")
+            self._charge(poc)
             with self.block(f"if {rio} and not {first}:"):
-                self._emit_advance(rio, "_IO", maybe_zero=False)
+                self._io(rio)
             self.line(f"{first} = False")
-            with self.block(f"for {ir} in {inner}:"):
+            self._width_base(rowvar, node.outer.columns)
+            with self.block(f"for {inner_loop}:"):
                 if node.predicates:
                     self._emit_predicates(
                         node.predicates,
@@ -1247,7 +1433,15 @@ class _Compiler:
                         split=(rowvar, ir, len(node.outer.columns)),
                     )
                 o = self.fresh("o")
-                self.line(f"{o} = " + combine.replace("OUTER", rowvar))
+                slots = self._combine_slots(
+                    node.outer.columns, node.inner.columns, node.columns,
+                    rowvar, ir,
+                )
+                self.line(
+                    f"{o} = " + _tuple_display([f"{v}[{i}]" for v, i in slots])
+                )
+                self._elide.append((o, self.body[-1]))
+                self._prov[o] = slots
                 consume(o)
 
         self._node(node.outer, outer_stage)
@@ -1273,25 +1467,26 @@ class _Compiler:
         bbytes = self.fresh("bbytes")
         self.line(f"{buf} = []")
         self.line(f"{bapp} = {buf}.append")
-        self.line(f"{bbytes} = 0.0")
+        self.line(f"{bbytes} = 0")
 
         def absorb(rowvar: str) -> None:
-            self._emit_advance(cost.cpu_tuple, "_CPU")
+            self._charge(cost.cpu_tuple)
             w = self._emit_width(rowvar, fixed, var_slots)
             if mon_out:
-                self._emit_output_rows(segment, w)
+                self._emit_output_row(segment, w)
             self.line(f"{bapp}({rowvar})")
             self.line(f"{bbytes} += {w}")
-            with self.block(f"if {bbytes} > {_lit(ctx.work_mem_bytes)}:"):
-                self.line(f"yield from {hv}.spill({buf})")
+            with self.block(f"if {bbytes} > {ctx.work_mem_bytes}:"):
+                self._call(f"yield from {hv}.spill({buf})")
                 self.line(f"{buf} = []")
                 self.line(f"{bapp} = {buf}.append")
-                self.line(f"{bbytes} = 0.0")
+                self.line(f"{bbytes} = 0")
 
         self._node(node.child, absorb)
 
         mem = self.fresh("mem")
         self.line(f"{mem} = None")
+        self.line("_wb()")
         with self.block(f"if {hv}.runs:"):
             with self.block(f"if {buf}:"):
                 self.line(f"yield from {hv}.spill({buf})")
@@ -1299,17 +1494,18 @@ class _Compiler:
         with self.block("else:"):
             self.line(f"yield from {hv}.sort_buffer({buf})")
             self.line(f"{mem} = {buf}")
+        self.line(_RELOAD)
         if mon_out:
-            self.line(f"{self._tr_segfin()}({segment})")
+            self._emit_segfin(segment)
 
         r = self.fresh("r")
         st = self.fresh("st")
         with self.block(f"if {mem} is not None:"):
             with self.block(f"for {st}, {r} in enumerate({mem}, 1):"):
-                self._emit_advance(cost.cpu_tuple, "_CPU")
+                self._charge(cost.cpu_tuple)
                 if mon_in:
                     w = self._emit_width(r, fixed, var_slots)
-                    self._emit_input_rows(ref[0], ref[1], "1", w)
+                    self._emit_input_row(ref[0], ref[1], w)
                 # The single-pass loop gives a consumer's ``continue``
                 # (filter/distinct row drop) a target that still falls
                 # through to the pulse-cadence check below, exactly like
@@ -1322,15 +1518,19 @@ class _Compiler:
             cmp_ = self.fresh("cmp")
             merged = self.fresh("merged")
             self.line(
-                f"{cmp_} = {_lit(cost.cpu_compare)}"
+                f"{cmp_} = {cost.cpu_compare}"
                 f" * max(1, len({hv}.runs)).bit_length()"
             )
             self.line(f"{merged} = 0")
+            # Runs are read lazily inside heapq.merge; ``read_run`` writes
+            # back and reloads around each page it reads.
+            self._reload_fn = True
             with self.block(
                 f"for {r} in heapq.merge("
-                f"*({hv}.read_run(rr) for rr in {hv}.runs), key={keyv}):"
+                f"*({hv}.read_run(rr, _wb, _rl) for rr in {hv}.runs),"
+                f" key={keyv}):"
             ):
-                self._emit_advance(cmp_, "_CPU")
+                self._charge(cmp_)
                 with self.block("for _sk in _ONE:"):
                     consume(r)
                 self.line(f"{merged} += 1")
@@ -1399,7 +1599,7 @@ class _Compiler:
             return _tuple_display([f"{rowvar}[{s}]" for s in key_slots])
 
         def absorb(rowvar: str) -> None:
-            self._emit_advance(per_row, "_CPU")
+            self._charge(per_row)
             if not node.group_keys:
                 st = st0
                 with self.block(f"if {st} is None:"):
@@ -1470,22 +1670,22 @@ class _Compiler:
             for i, kind in enumerate(kinds):
                 self.line(f"{vals}.append({finv}({kind!r}, {st}, {i}))")
             self.line(f"{o} = tuple({vals})")
-            self._emit_advance(cost.cpu_tuple, "_CPU")
+            self._charge(cost.cpu_tuple)
             if mon_seg:
                 w = self.fresh("w")
                 self.line(f"{w} = {wfv}({o})")
-                self._emit_output_rows(segment, w)
+                self._emit_output_row(segment, w)
             self.line(f"{oapp}({o})")
         if mon_seg:
-            self.line(f"{self._tr_segfin()}({segment})")
+            self._emit_segfin(segment)
 
         def stream() -> None:
             with self.block(f"for {o} in {output}:"):
-                self._emit_advance(cost.cpu_tuple, "_CPU")
+                self._charge(cost.cpu_tuple)
                 if mon_ref:
                     w = self.fresh("w")
                     self.line(f"{w} = {wfv}({o})")
-                    self._emit_input_rows(groups_ref[0], groups_ref[1], "1", w)
+                    self._emit_input_row(groups_ref[0], groups_ref[1], w)
                 consume(o)
 
         stream()

@@ -116,7 +116,7 @@ class HashJoinOp(Operator):
     def _run_in_memory(self) -> Iterator[tuple]:
         node = self.node
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         build_segment = getattr(node, "pi_build_segment", None)
         hash_input_ref = getattr(node, "pi_hash_input_ref", None)
@@ -125,7 +125,7 @@ class HashJoinOp(Operator):
         build_key = self._build_key
         build_width = self._build_width
         total_rows = 0
-        total_bytes = 0.0
+        total_bytes = 0
         for row in self._build_child.rows():
             if row is PULSE:
                 yield row
@@ -212,7 +212,7 @@ class HashJoinOp(Operator):
         join_segment = getattr(node, "pi_join_segment", None)
         pa_ref = getattr(node, "pi_pa_input_ref", None)
         pb_ref = getattr(node, "pi_pb_input_ref", None)
-        cost = ctx.config.cost
+        cost = ctx.ticks
         build_key = self._build_key
         probe_key = self._probe_key
         combine = self._combine
@@ -271,7 +271,7 @@ class HashJoinOp(Operator):
         draining, *returns* the partition files.
         """
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         schema = _spill_schema(columns)
         parts = [
@@ -301,7 +301,7 @@ class HashJoinOp(Operator):
         """Stream a spilled partition back, charging I/O and input counts."""
         ctx = self.ctx
         tracker = ctx.tracker
-        cpu_tuple = ctx.config.cost.cpu_tuple
+        cpu_tuple = ctx.ticks.cpu_tuple
         for page_no in range(part.handle.num_pages):
             page = ctx.disk.read_page(part.handle, page_no, sequential=True)
             n = len(page.rows)

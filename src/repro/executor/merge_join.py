@@ -34,7 +34,7 @@ class MergeJoinOp(Operator):
 
     def rows(self) -> Iterator[tuple]:
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         lslot = self._left_slot
         rslot = self._right_slot
         combine = self._combine

@@ -31,7 +31,7 @@ class NestLoopOp(Operator):
 
     def rows(self) -> Iterator[tuple]:
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         inner_ref = getattr(self.node, "pi_inner_input_ref", None)
 
@@ -39,7 +39,7 @@ class NestLoopOp(Operator):
         # narrative measures progress through the outer, with the inner's
         # single read accounted up front).
         inner_rows: list[tuple] = []
-        inner_bytes = 0.0
+        inner_bytes = 0
         width_fn = self._inner_width
         for row in self._inner_child.rows():
             if row is PULSE:
@@ -57,9 +57,9 @@ class NestLoopOp(Operator):
         per_outer_cpu = n_inner * cost.cpu_operator * max(1, len(predicates))
         # Rescan I/O applies only when the materialized inner cannot be
         # cached; each additional outer tuple re-reads the spilled inner.
-        rescan_io = 0.0
+        rescan_io = 0
         if inner_bytes > ctx.work_mem_bytes:
-            rescan_io = (inner_bytes / ctx.config.page_size) * cost.seq_page_read
+            rescan_io = inner_bytes * cost.seq_page_read // ctx.config.page_size
 
         first_outer = True
         for outer_row in self._outer_child.rows():

@@ -15,13 +15,13 @@ def layout_of(columns: Sequence[PlanColumn]) -> dict[tuple[int, int], int]:
     return {col.coordinate: i for i, col in enumerate(columns)}
 
 
-def row_width_fn(columns: Sequence[PlanColumn]) -> Callable[[tuple], float]:
+def row_width_fn(columns: Sequence[PlanColumn]) -> Callable[[tuple], int]:
     """Return a fast ``row -> stored width in bytes`` function.
 
     Width is exact per row: fixed-type widths are folded into a constant
     and only string slots are inspected, so the per-tuple cost stays low.
     """
-    fixed = float(TUPLE_HEADER_BYTES)
+    fixed = TUPLE_HEADER_BYTES
     var_slots: list[int] = []
     for i, col in enumerate(columns):
         if isinstance(col.type, StringType):
@@ -32,11 +32,11 @@ def row_width_fn(columns: Sequence[PlanColumn]) -> Callable[[tuple], float]:
     if not var_slots:
         return lambda row: fixed
 
-    def width(row: tuple) -> float:
+    def width(row: tuple) -> int:
         w = fixed
         for i in var_slots:
             v = row[i]
-            w += 1.0 if v is None else 1.0 + len(v)
+            w += 1 if v is None else 1 + len(v)
         return w
 
     return width

@@ -41,7 +41,7 @@ class SeqScanOp(Operator):
     def rows(self) -> Iterator[tuple]:
         node = self.node
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         ref = getattr(node, "pi_input_ref", None)
         heap = node.table.heap
@@ -71,13 +71,17 @@ class SeqScanOp(Operator):
                 # slow consumer — e.g. a CPU-bound nested-loops join pulling one
                 # outer tuple at a time, the paper's Q5 — still shows smooth
                 # byte progress to the speed monitor.  "page" granularity is an
-                # ablation knob demonstrating why that matters.
-                per_row_bytes = page.bytes_used / n
+                # ablation knob demonstrating why that matters.  Each row's
+                # share is a whole number of bytes: the first ``extra`` rows
+                # get one more, so the shares sum to the page exactly.
+                share, extra = divmod(page.bytes_used, n)
                 if monitored and not per_tuple:
                     tracker.input_rows(seg, idx, n, page.bytes_used)
-                for row in page.rows:
+                for j, row in enumerate(page.rows):
                     if monitored and per_tuple:
-                        tracker.input_rows(seg, idx, 1, per_row_bytes)
+                        tracker.input_rows(
+                            seg, idx, 1, share + 1 if j < extra else share
+                        )
                     keep = True
                     for predicate in predicates:
                         if not predicate(row):
@@ -106,7 +110,7 @@ class IndexScanOp(Operator):
     def rows(self) -> Iterator[tuple]:
         node = self.node
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         ref = getattr(node, "pi_input_ref", None)
         index = node.index

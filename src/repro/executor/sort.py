@@ -18,7 +18,7 @@ from typing import Iterator, Optional
 from repro.executor.base import PULSE, ExecContext, Operator, build_operator
 from repro.executor.rowops import row_width_fn
 from repro.planner.physical import SortNode
-from repro.sim.load import CPU
+from repro.sim.load import CPU, IO
 from repro.storage.heap import HeapFile
 from repro.storage.schema import Column, Schema
 
@@ -101,13 +101,13 @@ class SortOp(Operator):
         (runs were spilled to ``self._runs``).
         """
         ctx = self.ctx
-        cost = ctx.config.cost
+        cost = ctx.ticks
         tracker = ctx.tracker
         segment = getattr(self.node, "pi_sort_segment", None)
         width_fn = self._width
 
         buffer: list[tuple] = []
-        buffer_bytes = 0.0
+        buffer_bytes = 0
         for row in self._child.rows():
             if row is PULSE:
                 yield row
@@ -121,7 +121,7 @@ class SortOp(Operator):
             if buffer_bytes > ctx.work_mem_bytes:
                 yield from self._spill_run(buffer)
                 buffer = []
-                buffer_bytes = 0.0
+                buffer_bytes = 0
 
         memory_run: Optional[list[tuple]] = None
         if self._runs:
@@ -139,8 +139,8 @@ class SortOp(Operator):
         n = len(buffer)
         if n <= 1:
             return
-        comparisons = n * max(1.0, (n).bit_length() - 1)
-        cost = self.ctx.config.cost.cpu_compare
+        comparisons = n * max(1, n.bit_length() - 1)
+        cost = self.ctx.ticks.cpu_compare
         remaining = comparisons
         while remaining > 0:
             step = min(remaining, _CPU_CHUNK)
@@ -183,10 +183,10 @@ class SortOp(Operator):
             )
             nbytes = sum(run.total_bytes for run in group)
             npages = sum(run.handle.num_pages for run in group)
-            cost = ctx.config.cost
-            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), "io")
+            cost = ctx.ticks
+            ctx.clock.advance(npages * (cost.seq_page_read + cost.page_write), IO)
             if ctx.tracker is not None and segment is not None:
-                ctx.tracker.extra_pass(segment, 2.0 * nbytes)
+                ctx.tracker.extra_pass(segment, 2 * nbytes)
             schema = group[0].schema
             merged = HeapFile(
                 f"sortrun_{id(self)}_m{len(self._runs)}",
@@ -212,7 +212,7 @@ class SortOp(Operator):
         ctx = self.ctx
         tracker = ctx.tracker
         ref = getattr(self.node, "pi_merge_input_ref", None)
-        cpu_tuple = ctx.config.cost.cpu_tuple
+        cpu_tuple = ctx.ticks.cpu_tuple
         width_fn = self._width
         for streamed, row in enumerate(run, start=1):
             ctx.clock.advance(cpu_tuple, CPU)
@@ -226,7 +226,7 @@ class SortOp(Operator):
         ctx = self.ctx
         tracker = ctx.tracker
         ref = getattr(self.node, "pi_merge_input_ref", None)
-        cost = ctx.config.cost
+        cost = ctx.ticks
         key = self._key
 
         def read_run(run: HeapFile) -> Iterator[tuple]:

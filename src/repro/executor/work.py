@@ -10,6 +10,12 @@ consumes.
 This module lives in the executor package (not in :mod:`repro.core`) so
 operators can report without importing the estimator; the estimator reads
 these counters when it refines.
+
+Every byte counter is an integer (:mod:`repro.sim.units`): row widths are
+whole bytes, and a per-tuple scan gives each row of a page an integer
+share of the page's bytes.  Sums are therefore exact in any order, so the
+fused engine may report a run of rows in one call at its next write-back
+point instead of one call per row; the counters come out identical.
 """
 
 from __future__ import annotations
@@ -40,12 +46,12 @@ class SegmentCounters:
     def __init__(self, segment_id: int, num_inputs: int):
         self.segment_id = segment_id
         self.input_rows = [0] * num_inputs
-        self.input_bytes = [0.0] * num_inputs
+        self.input_bytes = [0] * num_inputs
         self.output_rows = 0
-        self.output_bytes = 0.0
-        self.extra_bytes = 0.0
+        self.output_bytes = 0
+        self.extra_bytes = 0
         #: Bytes of this segment counted toward the query's done work.
-        self.done_bytes = 0.0
+        self.done_bytes = 0
         self.started = False
         self.finished = False
         self.started_at: Optional[float] = None
@@ -78,7 +84,7 @@ class WorkTracker:
             SegmentCounters(i, n) for i, n in enumerate(num_inputs)
         ]
         self.final_segment = final_segment
-        self.total_done_bytes = 0.0
+        self.total_done_bytes = 0
         self._clock = clock
         #: Optional hook invoked as segments finish (indicator refresh).
         self.on_segment_finished: Optional[Callable[[int], None]] = None
@@ -88,10 +94,11 @@ class WorkTracker:
         self.trace: Optional["TraceBus"] = None
 
     # ------------------------------------------------------------------
-    # hot-path reporting (called per page / per tuple by operators)
+    # hot-path reporting (per page / per tuple by row operators; per
+    # write-back point by the fused engine)
 
     def input_rows(
-        self, segment_id: int, input_index: int, rows: int, nbytes: float
+        self, segment_id: int, input_index: int, rows: int, nbytes: int
     ) -> None:
         """Record ``rows`` tuples (``nbytes`` bytes) read by a segment input."""
         seg = self.segments[segment_id]
@@ -102,7 +109,7 @@ class WorkTracker:
         seg.done_bytes += nbytes
         self.total_done_bytes += nbytes
 
-    def output_rows(self, segment_id: int, rows: int, nbytes: float) -> None:
+    def output_rows(self, segment_id: int, rows: int, nbytes: int) -> None:
         """Record tuples produced at a segment's output."""
         seg = self.segments[segment_id]
         if not seg.started:
@@ -113,7 +120,7 @@ class WorkTracker:
             seg.done_bytes += nbytes
             self.total_done_bytes += nbytes
 
-    def extra_pass(self, segment_id: int, nbytes: float) -> None:
+    def extra_pass(self, segment_id: int, nbytes: int) -> None:
         """Record a multi-stage extra pass over ``nbytes`` (Section 4.5)."""
         seg = self.segments[segment_id]
         seg.extra_bytes += nbytes

@@ -30,6 +30,10 @@ class SqlFunction:
     result_type: Optional[DataType]
     #: Whether the optimizer can estimate selectivities through this call.
     estimatable: bool = False
+    #: The function ``evaluate`` wraps, called only with non-NULL
+    #: arguments (``evaluate`` adds SQL NULL propagation).  The fused
+    #: engine inlines the NULL checks and calls this directly.
+    raw: Optional[Callable] = None
 
     def return_type(self, arg_types: Sequence[DataType]) -> DataType:
         """Result type of a call given its argument types."""
@@ -53,7 +57,7 @@ FUNCTIONS: dict[str, SqlFunction] = {}
 
 
 def _register(name: str, arity: int, fn: Callable, result_type: Optional[DataType]) -> None:
-    FUNCTIONS[name] = SqlFunction(name, arity, _null_safe(fn), result_type)
+    FUNCTIONS[name] = SqlFunction(name, arity, _null_safe(fn), result_type, raw=fn)
 
 
 # The paper's queries use absolute(); abs() is a convenience alias.

@@ -12,6 +12,10 @@ the virtual time charged for one resource class by a slowdown factor while
 the window is active.  The progress indicator never sees these windows
 directly; it only observes their effect on the query-execution speed, which
 is exactly the information a real indicator would get.
+
+Windows are declared in float seconds and float factors; the profile
+answers the clock in its exact units (:mod:`repro.sim.units`): instants
+and fixed-point factors, converted once when the profile is built.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Iterable
+
+from repro.sim import units
 
 #: Resource class for disk work (page reads/writes).
 IO = "io"
@@ -58,28 +64,28 @@ class InterferenceWindow:
             return self.cpu_factor
         raise ValueError(f"unknown resource class: {resource!r}")
 
-    def active_at(self, t: float) -> bool:
-        """Return whether the window covers virtual instant ``t``."""
-        return self.start <= t < self.end
-
 
 class LoadProfile:
     """A piecewise-constant system-load profile.
 
-    The profile maps a virtual instant and a resource class to a slowdown
-    factor (the product of all active windows' factors, so overlapping jobs
-    compound).  ``next_change_after(t)`` exposes the next instant at which
-    any factor changes, which lets the clock advance in large steps between
-    boundaries.
+    The profile maps a clock instant and a resource class to a fixed-point
+    slowdown factor (the product of all active windows' factors, so
+    overlapping jobs compound).  ``next_change_after(at)`` exposes the next
+    instant at which any factor changes, which lets the clock advance in
+    large steps between boundaries.
     """
 
     def __init__(self, windows: Iterable[InterferenceWindow] = ()):
         self._windows = tuple(windows)
+        #: (start, end) instants of each window, converted once.
+        self._spans = [
+            (units.instant(w.start), units.instant(w.end)) for w in self._windows
+        ]
         boundaries = set()
-        for w in self._windows:
-            boundaries.add(w.start)
-            if math.isfinite(w.end):
-                boundaries.add(w.end)
+        for start, end in self._spans:
+            boundaries.add(start)
+            if end != units.NEVER:
+                boundaries.add(end)
         self._boundaries = sorted(boundaries)
 
     @classmethod
@@ -101,22 +107,22 @@ class LoadProfile:
     def windows(self) -> tuple[InterferenceWindow, ...]:
         return self._windows
 
-    def factor(self, t: float, resource: str) -> float:
-        """Slowdown factor for ``resource`` at virtual instant ``t``."""
+    def factor(self, at: int, resource: str) -> int:
+        """Fixed-point slowdown factor for ``resource`` at instant ``at``."""
         if resource not in _RESOURCES:
             raise ValueError(f"unknown resource class: {resource!r}")
         f = 1.0
-        for w in self._windows:
-            if w.active_at(t):
+        for w, (start, end) in zip(self._windows, self._spans):
+            if start <= at < end:
                 f *= w.factor(resource)
-        return f
+        return units.factor(f)
 
-    def next_change_after(self, t: float) -> float:
-        """First instant strictly after ``t`` where any factor changes."""
+    def next_change_after(self, at: int) -> int:
+        """First instant strictly after ``at`` where any factor changes."""
         for b in self._boundaries:
-            if b > t:
+            if b > at:
                 return b
-        return math.inf
+        return units.NEVER
 
     def __repr__(self) -> str:
         return f"LoadProfile({list(self._windows)!r})"

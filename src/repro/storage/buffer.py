@@ -35,6 +35,7 @@ if TYPE_CHECKING:  # pragma: no cover - fault/obs are imported lazily
 from repro.config import CostModelConfig
 from repro.errors import BufferPoolError
 from repro.sim.load import CPU
+from repro.sim.units import cost_ticks
 from repro.storage.disk import FileHandle, SimulatedDisk
 from repro.storage.page import Page
 
@@ -47,7 +48,7 @@ class BufferPool:
             raise ValueError("buffer pool capacity must be positive")
         self._disk = disk
         self._capacity = capacity_pages
-        self._cost = cost
+        self._hit_ticks = cost_ticks(cost).cpu_operator
         self._frames: OrderedDict[tuple[int, int], Page] = OrderedDict()
         #: Pin refcounts per (file_id, page_no); pinned frames never evict.
         self._pins: dict[tuple[int, int], int] = {}
@@ -108,7 +109,7 @@ class BufferPool:
         if page is not None:
             self.hits += 1
             self._frames.move_to_end(key)
-            self._disk.clock.advance(self._cost.cpu_operator, CPU)
+            self._disk.clock.advance(self._hit_ticks, CPU)
             if self.trace is not None:
                 self._emit_access(handle, page_no, hit=True)
             return page

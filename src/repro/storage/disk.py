@@ -29,6 +29,7 @@ from repro.config import CostModelConfig
 from repro.errors import StorageError
 from repro.sim.clock import VirtualClock
 from repro.sim.load import IO
+from repro.sim.units import cost_ticks, scaled
 from repro.storage.page import Page
 
 
@@ -61,7 +62,7 @@ class SimulatedDisk:
 
     def __init__(self, clock: VirtualClock, cost: CostModelConfig):
         self._clock = clock
-        self._cost = cost
+        self._ticks = cost_ticks(cost)
         self._files: dict[int, FileHandle] = {}
         self._ids = itertools.count(1)
         # Observability counters.
@@ -165,14 +166,14 @@ class SimulatedDisk:
             self.seq_reads += 1
             if self._owner is not None:
                 self._charge_owner("seq_reads")
-            cost = self._cost.seq_page_read
+            cost = self._ticks.seq_page_read
         else:
             self.random_reads += 1
             if self._owner is not None:
                 self._charge_owner("random_reads")
-            cost = self._cost.random_page_read
+            cost = self._ticks.random_page_read
         if self.faults is not None:
-            cost *= self.faults.io_factor()
+            cost = scaled(cost, self.faults.io_factor())
         self._clock.advance(cost, IO)
 
     def _charge_write(self) -> None:
@@ -180,9 +181,9 @@ class SimulatedDisk:
         self.writes += 1
         if self._owner is not None:
             self._charge_owner("writes")
-        cost = self._cost.page_write
+        cost = self._ticks.page_write
         if self.faults is not None:
-            cost *= self.faults.io_factor()
+            cost = scaled(cost, self.faults.io_factor())
         self._clock.advance(cost, IO)
 
     # ------------------------------------------------------------------

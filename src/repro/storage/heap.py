@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Sequence
+import math
+from typing import Any, Iterable, Iterator, Optional, Sequence
 
 from repro.storage.disk import FileHandle, SimulatedDisk
 from repro.storage.page import Page
@@ -32,6 +33,9 @@ class HeapFile:
         self._page_size = page_size
         self.handle: FileHandle = disk.allocate(name, temp=temp)
         self._open_page: Page | None = None
+        #: Bytes the open page still takes before an append writes it
+        #: out (unbounded while no row is open: a fresh page takes any).
+        self.room: float = math.inf
         self.num_tuples = 0
         self.total_bytes = 0
         #: Whether appends charge I/O time (False while bulk loading).
@@ -40,18 +44,24 @@ class HeapFile:
     # ------------------------------------------------------------------
     # writing
 
-    def append(self, row: Sequence[Any]) -> None:
-        """Append one row, flushing the open page when it fills."""
-        width = self.schema.row_width(row)
+    def append(self, row: Sequence[Any], width: Optional[int] = None) -> None:
+        """Append one row, flushing the open page when it fills.
+
+        ``width`` is the row's schema width when the caller knows it;
+        the append writes a page exactly when ``width > self.room``.
+        """
+        if width is None:
+            width = self.schema.row_width(row)
         page = self._open_page
         if page is None:
             page = Page(self._page_size)
             self._open_page = page
-        elif not page.fits(width):
+        elif width > self.room:
             self._disk.append_page(self.handle, page, charge_io=self.charge_io)
             page = Page(self._page_size)
             self._open_page = page
         page.append(row, width)
+        self.room = self._page_size - page.bytes_used
         self.num_tuples += 1
         self.total_bytes += width
 
@@ -65,6 +75,7 @@ class HeapFile:
         if self._open_page is not None and len(self._open_page):
             self._disk.append_page(self.handle, self._open_page, charge_io=self.charge_io)
         self._open_page = None
+        self.room = math.inf
 
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> None:
         """Load rows without charging I/O (experiment setup path)."""
@@ -103,6 +114,7 @@ class HeapFile:
         """Release the underlying file (temp cleanup)."""
         self._disk.deallocate(self.handle)
         self._open_page = None
+        self.room = math.inf
 
     def __repr__(self) -> str:
         return (

@@ -15,6 +15,7 @@ from repro.core.rollback import RollbackMonitor
 from repro.database import Database
 from repro.errors import ExecutionError
 from repro.sim.load import CPU, IO
+from repro.sim.units import cost_ticks
 
 
 @dataclass(frozen=True)
@@ -59,17 +60,17 @@ class Transaction:
             raise ExecutionError(f"transaction is {self._state}, not active")
 
     def _charge_row(self) -> None:
-        cost = self._db.config.cost
+        cost = cost_ticks(self._db.config.cost)
         self._db.clock.advance(cost.cpu_tuple + cost.cpu_operator, CPU)
 
     def _charge_log(self) -> None:
-        cost = self._db.config.cost
+        cost = cost_ticks(self._db.config.cost)
         self._db.clock.advance(cost.cpu_tuple, CPU)
         if len(self._undo) % self._RECORDS_PER_LOG_PAGE == 0:
             self._db.clock.advance(cost.page_write, IO)
 
     def _charge_page_write(self) -> None:
-        self._db.clock.advance(self._db.config.cost.page_write, IO)
+        self._db.clock.advance(cost_ticks(self._db.config.cost).page_write, IO)
 
     # ------------------------------------------------------------------
     # DML
@@ -180,7 +181,7 @@ class Transaction:
         self._require_active()
         if monitor is None:
             monitor = RollbackMonitor(len(self._undo), self._db.clock)
-        cost = self._db.config.cost
+        cost = cost_ticks(self._db.config.cost)
         touched_pages: set[tuple[str, int]] = set()
         for record in reversed(self._undo):
             table = self._db.catalog.get_table(record.table)

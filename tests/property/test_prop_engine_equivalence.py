@@ -5,9 +5,9 @@ fused per-pipeline loops and ships rows in :class:`Batch` objects — a
 pure real-time optimization.  Its contract is *bit identity* with the
 reference volcano row engine: the same rows in the same order, the same
 ProgressLog (every report field, float-for-float), and the same final
-virtual-clock charge totals.  No tolerance anywhere: virtual costs are
-computed by the identical expressions in the identical order, so even
-float rounding must agree.
+virtual-clock charge totals.  No tolerance anywhere: costs and bytes are
+exact integers, so the fused engine's per-page and per-event commits must
+land on exactly the row engine's per-row state.
 
 This property is checked across every tier-1 workload grid variant
 (~40 cells spanning scan/sort/agg/join/self-join/multi-join shapes, four
@@ -23,7 +23,8 @@ from __future__ import annotations
 import pytest
 
 from repro.config import SystemConfig
-from repro.workloads import grid
+from repro.sim.load import LoadProfile
+from repro.workloads import grid, tpcr
 
 pytestmark = pytest.mark.filterwarnings("ignore::DeprecationWarning")
 
@@ -120,3 +121,95 @@ def test_oversized_batch_rows_still_flushes_at_pulses():
     row_result, row_log = _run_fresh(variant, "batchrows-huge-row", engine="row")
     assert huge_result.rows == row_result.rows
     assert huge_log == row_log
+
+
+#: Report and speed-sample periods of a few milliseconds of virtual time:
+#: a clock event lands every few rows, mid-page and mid-pipeline, so
+#: every fused charge site, commit and reload point sees events.
+_DENSE = dict(update_interval=0.05, speed_window=0.02, speed_sample_interval=0.002,
+              warmup=0.01)
+_DENSE_VARIANTS = (
+    "xs-uniform-scan-half",
+    "xs-uniform-sort-half",
+    "xs-uniform-agg-half",
+    "xs-uniform-join3-half",
+    "xs-uniform-selfjoin-tenth",
+    "xs-uniform-multi4-tenth",
+)
+
+
+def _dense_run(variant: grid.Variant, engine: str, batch_rows: int, work_mem: int):
+    config = SystemConfig(work_mem_pages=work_mem).with_progress(
+        engine=engine, batch_rows=batch_rows, **_DENSE
+    )
+    db = grid.build_dataset(*variant.dataset_key, config=config)
+    db.restart()
+    # A CPU slowdown starting mid-query: charges straddle its start too.
+    db.set_load(LoadProfile.cpu_hog(db.clock.now + 0.15, slowdown=2.5))
+    handle = db.connect().submit(
+        variant.sql, name=f"dense-{variant.name}", monitor=True
+    )
+    result = handle.result()
+    tracker = handle.task.indicator.tracker
+    segments = [
+        (
+            seg.input_rows, seg.input_bytes, seg.output_rows, seg.output_bytes,
+            seg.extra_bytes, seg.done_bytes, seg.started_at, seg.finished_at,
+        )
+        for seg in tracker.segments
+    ]
+    clock = (db.clock.now, dict(db.clock.cost_charged))
+    return result.rows, handle.log, clock, segments, tracker.total_done_bytes
+
+
+@pytest.mark.parametrize("work_mem", [256, 2])
+@pytest.mark.parametrize("batch_rows", [1, 256])
+@pytest.mark.parametrize("name", _DENSE_VARIANTS)
+def test_dense_events_bit_identical(name, batch_rows, work_mem):
+    """Events every few rows: identical rows, ProgressLog, clock and
+    tracker state, with row-at-a-time and default batches, in memory and
+    spilling (``work_mem_pages=2``)."""
+    variant = grid.variants_by_name()[name]
+    fused = _dense_run(variant, "batch", batch_rows, work_mem)
+    row = _dense_run(variant, "row", batch_rows, work_mem)
+    assert len(fused[1]) > 20  # the events really are dense
+    assert fused == row
+
+
+@pytest.mark.parametrize(
+    "sql, planner",
+    [
+        # An index scan: inline I/O charges and per-row heap fetches.
+        ("select o.orderkey, o.totalprice from orders o where o.custkey = 7", {}),
+        # A merge join over spilled sorts: the embedded volcano operator
+        # charges the clock itself between the fused code's pulls.
+        (
+            "select c.custkey, o.orderkey from customer c, orders o "
+            "where c.custkey = o.custkey",
+            {"enable_hashjoin": False, "enable_nestloop": False},
+        ),
+    ],
+)
+def test_dense_events_index_scan_and_merge_join(sql, planner):
+    def run(engine):
+        config = (
+            SystemConfig(work_mem_pages=2)
+            .with_planner(**planner)
+            .with_progress(engine=engine, **_DENSE)
+        )
+        db = tpcr.build_database(scale=0.002, config=config, with_indexes=True)
+        db.restart()
+        db.set_load(LoadProfile.cpu_hog(db.clock.now + 0.1, slowdown=2.5))
+        handle = db.connect().submit(sql, name="dense-tpcr", monitor=True)
+        rows = handle.result().rows
+        tracker = handle.task.indicator.tracker
+        segments = [
+            (s.input_rows, s.input_bytes, s.output_rows, s.output_bytes,
+             s.done_bytes, s.started_at, s.finished_at)
+            for s in tracker.segments
+        ]
+        return rows, handle.log, db.clock.now, dict(db.clock.cost_charged), segments
+
+    fused = run("batch")
+    assert len(fused[1]) > 20
+    assert fused == run("row")

@@ -1,14 +1,16 @@
 """Property-based test: the heap timer queue dispatches exactly like the
 list-scan clock it replaced.
 
-``_ListScanClock`` below is that earlier algorithm, kept as the oracle:
-every live ticker sits in a list in registration order, the next event
-is a scan over it, and a dispatch walks a snapshot of it.  Random
-programs of ``add_ticker`` (with and without ``first``), ``cancel``,
-``advance`` (IO and CPU), ``advance_wall`` and load-profile changes —
-with ticker callbacks that register tickers, cancel tickers and advance
-the clock — must produce the same ``(ticker, fire_at, now)`` sequence
-and the same final ``now`` on both clocks, float for float.
+``_ListScanClock`` below is that earlier algorithm, kept as the oracle
+and written in the same exact integer units as the clock
+(:mod:`repro.sim.units`): every live ticker sits in a list in
+registration order, the next event is a scan over it, and a dispatch
+walks a snapshot of it.  Random programs of ``add_ticker`` (with and
+without ``first``), ``cancel``, ``advance`` (IO and CPU ticks),
+``advance_wall`` and load-profile changes — with ticker callbacks that
+register tickers, cancel tickers and advance the clock — must produce
+the same ``(ticker, fire_at, now)`` sequence and the same final ``now``
+on both clocks, exactly.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from __future__ import annotations
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.sim import units
 from repro.sim.clock import VirtualClock
 from repro.sim.load import CPU, IO, InterferenceWindow, LoadProfile
-
-_EPSILON = 1e-12
+from repro.sim.units import ticks
 
 
 class _Stalled(Exception):
@@ -43,19 +45,24 @@ class _ListScanClock:
     loop forever; such programs raise ``_Stalled`` and are discarded."""
 
     def __init__(self, load):
-        self.now = 0.0
+        self._now = 0
         self._load = load
         self._tickers = []
         self._firing = False
         self._refresh_factors()
+
+    @property
+    def now(self):
+        return units.seconds(self._now)
 
     def set_load(self, load):
         self._load = load
         self._refresh_factors()
 
     def add_ticker(self, interval, callback, first=None):
-        first = self.now + interval if first is None else first
-        ticker = _Ticker(interval, callback, first)
+        period = units.instant(interval)
+        first = self._now + period if first is None else units.instant(first)
+        ticker = _Ticker(period, callback, first)
         self._tickers.append(ticker)
         self._refresh_factors()
         return ticker
@@ -63,33 +70,35 @@ class _ListScanClock:
     def advance(self, cost, resource):
         if cost == 0:
             return
-        end = self.now + cost * self._factors[resource]
-        if end < self._next_event:
-            self.now = end
-            return
-        remaining, idle = cost, 0
-        while remaining > _EPSILON:
-            factor, event = self._factors[resource], self._next_event
-            if self.now + remaining * factor < event:
-                self.now += remaining * factor
+        factor = self._factors[resource]
+        span, idle = cost * factor, 0
+        while True:
+            event = self._next_event
+            if self._now + span < event:
+                self._now += span
                 return
-            remaining -= (event - self.now) / factor
-            idle = idle + 1 if event <= self.now else 0
-            self.now = event
+            span -= event - self._now
+            idle = idle + 1 if event <= self._now else 0
+            self._now = event
             self._fire_due()
             self._refresh_factors()
+            if not span:
+                return
+            if self._factors[resource] != factor:
+                span = units.reprice(span, factor, self._factors[resource])
+                factor = self._factors[resource]
             if idle > 200:
                 raise _Stalled
 
     def advance_wall(self, seconds):
-        target, idle = self.now + seconds, 0
+        target, idle = self._now + units.instant(seconds), 0
         while True:
             event = self._next_event
             if event >= target:
-                self.now = target
+                self._now = target
                 return
-            idle = idle + 1 if event <= self.now else 0
-            self.now = event
+            idle = idle + 1 if event <= self._now else 0
+            self._now = event
             self._fire_due()
             self._refresh_factors()
             if idle > 200:
@@ -101,20 +110,20 @@ class _ListScanClock:
         self._firing = True
         try:
             for ticker in list(self._tickers):
-                while ticker.active and ticker.next_fire <= self.now + _EPSILON:
+                while ticker.active and ticker.next_fire <= self._now:
                     fire_at = ticker.next_fire
                     ticker.next_fire += ticker.interval
-                    ticker.callback(fire_at)
+                    ticker.callback(units.seconds(fire_at))
             self._tickers = [t for t in self._tickers if t.active]
         finally:
             self._firing = False
 
     def _refresh_factors(self):
         self._factors = {
-            IO: self._load.factor(self.now, IO),
-            CPU: self._load.factor(self.now, CPU),
+            IO: self._load.factor(self._now, IO),
+            CPU: self._load.factor(self._now, CPU),
         }
-        next_event = self._load.next_change_after(self.now)
+        next_event = self._load.next_change_after(self._now)
         for ticker in self._tickers:
             if ticker.active and ticker.next_fire < next_event:
                 next_event = ticker.next_fire
@@ -133,10 +142,12 @@ firsts = st.one_of(
     st.floats(min_value=0.0, max_value=25.0, allow_nan=False),
 )
 resources = st.sampled_from([IO, CPU])
-costs = st.one_of(
+walls = st.one_of(
     st.sampled_from([0.0, 0.5, 1.0, 2.5, 10.0]),
     st.floats(min_value=0.0, max_value=30.0, allow_nan=False),
 )
+costs = st.one_of(st.sampled_from([ticks(w) for w in (0.0, 0.5, 1.0, 2.5, 10.0)]),
+                  st.integers(min_value=0, max_value=ticks(30.0)))
 windows = st.lists(
     st.builds(
         InterferenceWindow,
@@ -151,7 +162,10 @@ actions = st.one_of(
     st.just(("none",)),
     st.tuples(st.just("register"), intervals, firsts),
     st.tuples(st.just("cancel"), st.integers(0, 15)),
-    st.tuples(st.just("advance"), st.sampled_from([0.01, 0.1, 0.4]), resources),
+    st.tuples(
+        st.just("advance"), st.sampled_from([ticks(0.01), ticks(0.1), ticks(0.4)]),
+        resources,
+    ),
     st.tuples(st.just("advance_wall"), st.sampled_from([0.05, 0.3])),
 )
 programs = st.lists(
@@ -159,7 +173,7 @@ programs = st.lists(
         st.tuples(st.just("add"), intervals, firsts, actions),
         st.tuples(st.just("cancel"), st.integers(0, 15)),
         st.tuples(st.just("advance"), costs, resources),
-        st.tuples(st.just("advance_wall"), costs),
+        st.tuples(st.just("advance_wall"), walls),
         st.tuples(st.just("set_load"), windows),
     ),
     max_size=25,
@@ -222,7 +236,7 @@ class TestTimerQueue:
         clock.add_ticker(3.0, lambda t: fired.append(("late", t)), first=2.0)
         clock.add_ticker(2.0, lambda t: fired.append(("early", t)), first=1.0)
         clock.add_ticker(1.0, lambda t: fired.append(("third", t)), first=2.0)
-        clock.advance(2.0, CPU)
+        clock.advance(ticks(2.0), CPU)
         assert fired == [("early", 1.0), ("late", 2.0), ("third", 2.0)]
 
     def test_ticker_registered_by_a_callback_waits_for_next_dispatch(self):
@@ -234,10 +248,10 @@ class TestTimerQueue:
             clock.add_ticker(5.0, lambda u: fired.append(("child", u)), first=t)
 
         parent = clock.add_ticker(1.0, spawn)
-        clock.advance(1.0, CPU)
+        clock.advance(ticks(1.0), CPU)
         assert fired == [("spawn", 1.0)]
         parent.cancel()
-        clock.advance(0.5, CPU)
+        clock.advance(ticks(0.5), CPU)
         assert fired == [("spawn", 1.0), ("child", 1.0)]
 
     def test_callback_registered_ticker_waits_even_if_the_clock_moved(self):
@@ -249,45 +263,44 @@ class TestTimerQueue:
                 if len(fired) == 1:
                     clock.add_ticker(
                         10.0, lambda u: fired.append(("child", u, clock.now)),
-                        first=1.5 + 5e-13,
+                        first=1.5,
                     )
-                    clock.advance(0.5, CPU)
+                    clock.advance(ticks(0.5), CPU)
 
             clock.add_ticker(1.0, spawn, first=1.0)
-            clock.advance(1.0, CPU)
+            clock.advance(ticks(1.0), CPU)
             assert fired == [("spawn", 1.0, 1.0)]
-            clock.advance(0.25, CPU)
-            assert fired[1] == ("child", 1.5 + 5e-13, 1.5 + 5e-13)
+            clock.advance(ticks(0.25), CPU)
+            assert fired[1] == ("child", 1.5, 1.5)
 
     def test_cancelled_ticker_never_splits_an_advance(self):
         """Registering a ticker drops a cancelled one from the next-event
-        time, so the next advance is one step (splitting it at 0.8 would
-        land on 10.000000000000002)."""
+        time, so the next advance is one step."""
         cpu_hog = LoadProfile([InterferenceWindow(0.0, float("inf"), cpu_factor=2.5)])
         clock = VirtualClock(cpu_hog)
         clock.add_ticker(0.8, lambda t: None).cancel()
         clock.add_ticker(20.0, lambda t: None)
-        clock.advance(4.0, CPU)
+        clock.advance(ticks(4.0), CPU)
         assert clock.now == 10.0
 
     def test_clock_moved_by_a_callback_makes_later_tickers_due(self):
-        """A later-registered ticker that the callback's advance brings
-        within the firing tolerance fires in the same dispatch."""
+        """A later-registered ticker that the callback's advance makes
+        due fires in the same dispatch."""
         for clock in (VirtualClock(), _ListScanClock(LoadProfile())):
             fired = []
 
             def mover(t, clock=clock, fired=fired):
                 fired.append(("mover", t, clock.now))
                 if len(fired) == 1:
-                    clock.advance(0.5, CPU)
+                    clock.advance(ticks(0.5), CPU)
 
             clock.add_ticker(1.0, mover, first=1.0)
             clock.add_ticker(
                 10.0, lambda t, c=clock, f=fired: f.append(("near", t, c.now)),
-                first=1.5 + 5e-13,
+                first=1.5,
             )
-            clock.advance(1.0, CPU)
-            assert fired == [("mover", 1.0, 1.0), ("near", 1.5 + 5e-13, 1.5)]
+            clock.advance(ticks(1.0), CPU)
+            assert fired == [("mover", 1.0, 1.0), ("near", 1.5, 1.5)]
 
     def test_catch_up_sees_the_clock_a_callback_moved(self):
         for clock in (VirtualClock(), _ListScanClock(LoadProfile())):
@@ -296,16 +309,16 @@ class TestTimerQueue:
             def hop(t, clock=clock, fired=fired):
                 fired.append((t, clock.now))
                 if len(fired) == 1:
-                    clock.advance(0.5, CPU)
+                    clock.advance(ticks(0.5), CPU)
 
-            clock.add_ticker(0.5 + 5e-13, hop, first=1.0)
-            clock.advance(1.0, CPU)
-            assert fired == [(1.0, 1.0), (1.0 + (0.5 + 5e-13), 1.5)]
+            clock.add_ticker(0.5, hop, first=1.0)
+            clock.advance(ticks(1.0), CPU)
+            assert fired == [(1.0, 1.0), (1.5, 1.5)]
 
     def test_cancelled_tickers_leave_the_queue(self):
         clock = VirtualClock()
         for _ in range(50):
             clock.add_ticker(1.0, lambda t: None).cancel()
-        clock.advance(3.0, CPU)
+        clock.advance(ticks(3.0), CPU)
         assert clock.now == 3.0
         assert not clock._timers

@@ -134,6 +134,46 @@ class TestBaselineComparison:
         assert any("missing from the baseline" in p for p in problems)
 
 
+class TestMonitorRatioGate:
+    BASE = {
+        "schema": perf.PERF_SCHEMA,
+        "cases": [{"name": "a", "speedup": 4.0}],
+        "monitor": [{"name": "Q1", "ratio": 2.0}, {"name": "Q5", "ratio": 1.2}],
+    }
+
+    @staticmethod
+    def _fresh(*ratios):
+        monitor = tuple(
+            perf.MonitorResult(name=n, plain_s=0.1, monitored_s=0.1 * r)
+            for n, r in ratios
+        )
+        cases = (_case_result("a", 0.2, 0.05),)
+        return perf.SuiteResult(scale=0.01, runs=3, cases=cases, monitor=monitor)
+
+    def test_ratio_within_tolerance_passes(self):
+        fresh = self._fresh(("Q1", 2.6), ("Q5", 1.0))
+        assert perf.compare_to_baseline(fresh, self.BASE, tolerance=0.35) == []
+
+    def test_ratio_above_tolerance_fails(self):
+        fresh = self._fresh(("Q1", 2.0), ("Q5", 1.7))
+        problems = perf.compare_to_baseline(fresh, self.BASE, tolerance=0.35)
+        assert len(problems) == 1 and problems[0].startswith("Q5:")
+
+    def test_ratio_missing_from_baseline_fails(self):
+        problems = perf.compare_to_baseline(
+            self._fresh(("Q3", 1.0)), self.BASE
+        )
+        assert any("missing from the baseline" in p for p in problems)
+
+    def test_doc_and_renderings_carry_the_ratios(self):
+        suite = self._fresh(("Q2", 1.25))
+        doc = perf.suite_to_doc(suite)
+        assert doc["monitor"] == [
+            {"name": "Q2", "plain_s": 0.1, "monitored_s": 0.125, "ratio": 1.25}
+        ]
+        assert "1.25x" in perf.render_suite(suite)
+
+
 class TestSerialization:
     def test_doc_round_trips(self, tmp_path):
         suite = _suite(

@@ -190,7 +190,7 @@ class TestFindingShape:
             "def b(pool):\n"
             "    pool.hits = 0\n"
             "def a(clock):\n"
-            "    clock.now = 0.0\n"
+            "    clock._now = 0\n"
         )})
         assert [f.line for f in findings] == [2, 4]
 

@@ -4,6 +4,7 @@ import pytest
 
 from repro.executor.work import WorkTracker
 from repro.sim.clock import VirtualClock
+from repro.sim.units import ticks
 
 
 def make_tracker(num_inputs=(1, 2), final=1, clock=None):
@@ -68,14 +69,14 @@ class TestLifecycle:
     def test_started_at_records_clock(self):
         clock = VirtualClock()
         tracker = make_tracker(clock=clock)
-        clock.advance(5.0)
+        clock.advance(ticks(5.0))
         tracker.input_rows(0, 0, 1, 10.0)
         assert tracker.segments[0].started_at == pytest.approx(5.0)
 
     def test_segment_finished(self):
         clock = VirtualClock()
         tracker = make_tracker(clock=clock)
-        clock.advance(3.0)
+        clock.advance(ticks(3.0))
         tracker.segment_finished(0)
         seg = tracker.segments[0]
         assert seg.finished
